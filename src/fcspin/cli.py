@@ -477,7 +477,9 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except Exception as exc:  # hard failure: bad I/O or global numerical error
+    except (OSError, NumericalError, ValueError) as exc:
+        # bad I/O or a failed single-point evaluation (InvalidStateError is a
+        # ValueError); any other exception is a bug and keeps its traceback
         print(f"fcspin: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -22,11 +22,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import InvalidStateError
 from .params import ModelParams
-from .spin_algebra import build_block, parity_split, sector_spins
+from .spin_algebra import (TridiagonalBlock, build_block, parity_split,
+                           sector_spins)
 
 __all__ = [
     "SectorSpectrum",
@@ -52,11 +52,35 @@ __all__ = [
 # equal-weight ground manifold (captures the broken-symmetry parity doublet).
 GROUND_DEGENERACY_RTOL = 1e-12
 
+# Levels whose log-weight lies more than BOLTZMANN_CUT + ln(level count) below
+# the largest one get weight exactly 0, so the dropped Boltzmann mass is below
+# e^-BOLTZMANN_CUT of the partition function.
+BOLTZMANN_CUT = 50.0
+
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
     if len(diag) == 1:
         return diag.astype(float).copy(), np.ones((1, 1))
     return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+
+
+def _lowest_level_bound(sub: TridiagonalBlock) -> float:
+    """Gershgorin lower bound on the lowest level of a parity sub-block.
+
+    Widened by the solver's backward error (dim * eps * norm), so that it
+    also bounds the computed lowest level.
+    """
+    radius = np.zeros(sub.dim)
+    radius[:-1] += np.abs(sub.off)
+    radius[1:] += np.abs(sub.off)
+    norm = float(np.max(np.abs(sub.diag) + radius))
+    eps = np.finfo(float).eps
+    return float(np.min(sub.diag - radius)) - sub.dim * eps * norm
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -83,139 +107,203 @@ class SectorSpectrum:
         return self.two_s / 2.0
 
 
-@dataclass(frozen=True)
 class Spectra:
-    """Full parity-resolved spectrum of a parameter set, with flat views."""
+    """Parity-resolved spectrum of a parameter set, solved on demand.
 
-    params: ModelParams
-    sectors: tuple[SectorSpectrum, ...]
+    Construction builds every (S, parity) sub-block and a lower bound on its
+    lowest level; it solves none.  A thermal evaluation at T solves only the
+    sub-blocks that can hold a level inside the Boltzmann window (see
+    ``BOLTZMANN_CUT``) and keeps them for later temperatures.  Levels outside
+    the window weigh exactly 0, so a result depends on (params, T) alone, not
+    on the temperatures evaluated before.  The flat per-level arrays run over
+    the sectors in ``sector_spins`` order, each laid out as in
+    ``SectorSpectrum``; they, ``sectors`` and ``ground_energy`` keep their
+    full-spectrum meaning.  Every array handed out is read-only.
+    """
 
-    def _flat(self, name: str) -> np.ndarray:
-        return np.concatenate([getattr(s, name) for s in self.sectors])
+    def __init__(self, params: ModelParams):
+        self.params = params
+        subs, self._sector_subs, self._multiplicity = [], [0], []
+        for ts in sector_spins(params.n):
+            split = parity_split(build_block(params, ts))
+            subs.extend(split.blocks)
+            self._sector_subs.append(len(subs))
+            self._multiplicity.append(split.multiplicity)
+        self._subs = tuple(subs)
+        counts = np.diff(self._sector_subs)
+        self._sub_two_s = np.repeat(sector_spins(params.n), counts)
+        self._sub_log_mult = np.repeat(
+            [math.log(y) for y in self._multiplicity], counts)
+        dims = np.array([s.dim for s in subs])
+        self._start = np.concatenate([[0], np.cumsum(dims)])
+        # lowest level of each sub-block: the bound until solved, then exact
+        self._low = np.array([_lowest_level_bound(s) for s in subs])
+        self._solved = np.zeros(len(subs), dtype=bool)
+        self._complete = False
+        size = int(self._start[-1])
+        self._cut = BOLTZMANN_CUT + math.log(size)
+        self.log_mult = _read_only(np.repeat(self._sub_log_mult, dims))
+        # unsolved levels carry infinite energy (zero weight), zero moments
+        self._energy = np.full(size, np.inf)
+        self._moments = np.zeros((4, size))  # m2x, m2y, m2z, m1z
 
-    @cached_property
-    def energy(self) -> np.ndarray:
-        return self._flat("energy")
-
-    @cached_property
-    def log_mult(self) -> np.ndarray:
-        return np.concatenate([
-            np.full(len(s.energy), math.log(s.multiplicity))
-            for s in self.sectors
-        ])
-
-    @cached_property
-    def two_s(self) -> np.ndarray:
-        return np.concatenate([
-            np.full(len(s.energy), s.two_s, dtype=int) for s in self.sectors
-        ])
-
-    @cached_property
-    def parity(self) -> np.ndarray:
-        return self._flat("parity")
-
-    @cached_property
-    def k_index(self) -> np.ndarray:
-        return self._flat("k_index")
-
-    @cached_property
-    def m2x(self) -> np.ndarray:
-        return self._flat("m2x")
-
-    @cached_property
-    def m2y(self) -> np.ndarray:
-        return self._flat("m2y")
-
-    @cached_property
-    def m2z(self) -> np.ndarray:
-        return self._flat("m2z")
-
-    @cached_property
-    def m1z(self) -> np.ndarray:
-        return self._flat("m1z")
-
-    @cached_property
-    def ground_energy(self) -> float:
-        return float(self.energy.min())
-
-
-def _sector_spectrum(params: ModelParams, two_s: int) -> SectorSpectrum:
-    block = build_block(params, two_s)
-    split = parity_split(block)
-    casimir = block.s * (block.s + 1.0)
-    parity, k_index, energy = [], [], []
-    m2x, m2y, m2z, m1z = [], [], [], []
-    for sub in split.blocks:
+    def _solve(self, j: int) -> None:
+        sub = self._subs[j]
         w, v = _solve_tridiagonal(sub.diag, sub.off)
         p = v * v
         m = sub.m_values
-        mz1 = m @ p
         mz2 = (m * m) @ p
         # <S_+^2 + S_-^2> = 2 sum_j c_j v_j v_{j+1} for real eigenvectors
-        pp = 2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1 else np.zeros(1)
-        half = 0.5 * (casimir - mz2)
-        parity.append(np.full(sub.dim, sub.parity, dtype=int))
-        k_index.append(np.arange(sub.dim))
-        energy.append(w)
-        m2x.append(half + 0.25 * pp)
-        m2y.append(half - 0.25 * pp)
-        m2z.append(mz2)
-        m1z.append(mz1)
-    return SectorSpectrum(
-        two_s=two_s,
-        multiplicity=split.multiplicity,
-        parity=np.concatenate(parity),
-        k_index=np.concatenate(k_index),
-        energy=np.concatenate(energy),
-        m2x=np.concatenate(m2x),
-        m2y=np.concatenate(m2y),
-        m2z=np.concatenate(m2z),
-        m1z=np.concatenate(m1z),
-    )
+        pp = 2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1 else 0.0
+        s = self._sub_two_s[j] / 2.0
+        half = 0.5 * (s * (s + 1.0) - mz2)
+        lo, hi = self._start[j], self._start[j + 1]
+        self._energy[lo:hi] = w
+        self._moments[:, lo:hi] = (half + 0.25 * pp, half - 0.25 * pp, mz2,
+                                   m @ p)
+        self._low[j] = w[0]
+        self._solved[j] = True
+
+    def _best(self, T: float, j=slice(None)):
+        """Best log-weight a level of sub-block(s) j can have (-E at T = 0)."""
+        if T == 0:
+            return -self._low[j]
+        return self._sub_log_mult[j] - self._low[j] / T
+
+    def _solve_window(self, T: float) -> None:
+        """Solve every sub-block that can hold a level inside the window at T.
+
+        Sub-blocks go best bound first; the loop stops once no unsolved one
+        can come within the window of the best level found so far, which by
+        then is the global best.
+        """
+        if self._complete:
+            return
+        width = (GROUND_DEGENERACY_RTOL * self.params.v_x if T == 0
+                 else self._cut)
+        best = self._best(T)
+        top = best[self._solved].max(initial=-np.inf)
+        todo = np.flatnonzero(~self._solved & (best >= top - width))
+        for j in todo[np.argsort(-best[todo], kind="stable")]:
+            if best[j] < top - width:
+                break
+            self._solve(j)
+            top = max(top, self._best(T, j))
+        if self._solved.all():
+            self._freeze()
+
+    def _freeze(self) -> None:
+        self._complete = True
+        _read_only(self._energy)
+        _read_only(self._moments)
+
+    def _solve_all(self) -> None:
+        if not self._complete:
+            for j in np.flatnonzero(~self._solved):
+                self._solve(j)
+            self._freeze()
+
+    def _weights(self, T: float) -> tuple[np.ndarray, float]:
+        """Per-level weights Y e^(-E/T) / e^top and top = their largest log.
+
+        Levels more than the cut below top weigh exactly 0.  At T = 0 the
+        levels are those of the ground manifold, weighted by Y alone.
+        """
+        if T < 0:
+            raise ValueError("temperature must be nonnegative")
+        self._solve_window(T)
+        e = self._energy
+        if T == 0:
+            tol = GROUND_DEGENERACY_RTOL * self.params.v_x
+            a = np.where(e <= e.min() + tol, self.log_mult, -np.inf)
+        else:
+            a = self.log_mult - e / T
+        top = float(a.max())
+        a -= top
+        w = np.exp(a, where=a >= -self._cut, out=np.zeros(len(a)))
+        return w, top
+
+    @property
+    def energy(self) -> np.ndarray:
+        self._solve_all()
+        return self._energy
+
+    @property
+    def m2x(self) -> np.ndarray:
+        self._solve_all()
+        return self._moments[0]
+
+    @property
+    def m2y(self) -> np.ndarray:
+        self._solve_all()
+        return self._moments[1]
+
+    @property
+    def m2z(self) -> np.ndarray:
+        self._solve_all()
+        return self._moments[2]
+
+    @property
+    def m1z(self) -> np.ndarray:
+        self._solve_all()
+        return self._moments[3]
+
+    @cached_property
+    def two_s(self) -> np.ndarray:
+        return _read_only(np.repeat(self._sub_two_s, np.diff(self._start)))
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        return _read_only(np.repeat([s.parity for s in self._subs],
+                                    np.diff(self._start)))
+
+    @cached_property
+    def k_index(self) -> np.ndarray:
+        return _read_only(np.concatenate([np.arange(s.dim)
+                                          for s in self._subs]))
+
+    @cached_property
+    def sectors(self) -> tuple[SectorSpectrum, ...]:
+        self._solve_all()
+        out = []
+        for i, ts in enumerate(sector_spins(self.params.n)):
+            lo = self._start[self._sector_subs[i]]
+            hi = self._start[self._sector_subs[i + 1]]
+            out.append(SectorSpectrum(
+                two_s=ts, multiplicity=self._multiplicity[i],
+                parity=self.parity[lo:hi], k_index=self.k_index[lo:hi],
+                energy=self.energy[lo:hi], m2x=self.m2x[lo:hi],
+                m2y=self.m2y[lo:hi], m2z=self.m2z[lo:hi], m1z=self.m1z[lo:hi]))
+        return tuple(out)
+
+    @property
+    def ground_energy(self) -> float:
+        self._solve_window(0.0)
+        return float(self._energy.min())
 
 
 @lru_cache(maxsize=4)
 def diagonalize(params: ModelParams) -> Spectra:
-    """Diagonalize every (S, parity) sub-block and collect eigenstate moments.
+    """Build every (S, parity) sub-block; levels are solved on demand.
 
-    Results are cached on the (hashable, frozen) parameter set; the returned
-    arrays must be treated as read-only.
+    Results are cached on the (hashable, frozen) parameter set, so a
+    temperature scan on one parameter set solves each sub-block at most
+    once.  The arrays it hands out are read-only.
     """
-    sectors = tuple(_sector_spectrum(params, ts) for ts in sector_spins(params.n))
-    return Spectra(params=params, sectors=sectors)
-
-
-def _ground_mask(spectra: Spectra) -> np.ndarray:
-    tol = GROUND_DEGENERACY_RTOL * spectra.params.v_x
-    return spectra.energy <= spectra.ground_energy + tol
-
-
-def _thermal_weights(spectra: Spectra, T: float) -> np.ndarray:
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        mask = _ground_mask(spectra)
-        a = np.where(mask, spectra.log_mult, -np.inf)
-    else:
-        a = spectra.log_mult - spectra.energy / T
-    a = a - a.max()
-    w = np.exp(a)
-    return w / w.sum()
+    return Spectra(params)
 
 
 def log_partition(spectra: Spectra, T: float) -> float:
     """ln Z = ln sum_S Y(S) sum_k exp(-E/T), exact in log domain.
 
-    At T = 0, where ln Z itself diverges, returns the ground-manifold
-    regularization ln(sum of Y over states within the degeneracy tolerance of
-    the minimum energy), i.e. the log ground degeneracy.
+    Sums the levels inside the Boltzmann window, which misses at most a
+    fraction e^-50 of Z.  At T = 0, where ln Z itself diverges, returns the
+    ground-manifold regularization ln(sum of Y over states within the
+    degeneracy tolerance of the minimum energy), i.e. the log ground
+    degeneracy.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        mask = _ground_mask(spectra)
-        return float(logsumexp(spectra.log_mult[mask]))
-    return float(logsumexp(spectra.log_mult - spectra.energy / T))
+    w, top = spectra._weights(T)
+    return top + math.log(w.sum())
 
 
 @dataclass(frozen=True)
@@ -233,13 +321,14 @@ def thermal_observables(spectra: Spectra, T: float) -> Correlators:
     n = spectra.params.n
     if n < 2:
         raise ValueError("pair correlators need n >= 2")
-    w = _thermal_weights(spectra, T)
+    w, _ = spectra._weights(T)
+    m2x, m2y, m2z, m1z = (spectra._moments @ w) / w.sum()
     denom = n * (n - 1)
     return Correlators(
-        alpha_x=(float(w @ spectra.m2x) - 0.25 * n) / denom,
-        alpha_y=(float(w @ spectra.m2y) - 0.25 * n) / denom,
-        alpha_z=(float(w @ spectra.m2z) - 0.25 * n) / denom,
-        sz=float(w @ spectra.m1z) / n,
+        alpha_x=(float(m2x) - 0.25 * n) / denom,
+        alpha_y=(float(m2y) - 0.25 * n) / denom,
+        alpha_z=(float(m2z) - 0.25 * n) / denom,
+        sz=float(m1z) / n,
     )
 
 

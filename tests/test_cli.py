@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import fcspin.cli
 from fcspin import ModelParams, thermal_concurrence
 from fcspin.cli import ResultRow, SweepSpec, emit_csv, emit_json, main, run_sweep
 
@@ -285,3 +286,13 @@ def test_main_returns_not_raises():
                  "--out", "/dev/null"]) == 0
     assert main(["--n", "100", "--chi", "0.5", "--b", "0.5", "--T", "0.01",
                  "--method", "cspa", "--out", "/dev/null"]) == 3
+
+
+def test_programmer_errors_keep_their_traceback(monkeypatch):
+    # only I/O and numerical failures map to exit 3; a bug propagates
+    def broken(job):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(fcspin.cli, "_run_job", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["--n", "8", "--chi", "0.5", "--b", "0.2", "--T", "0.1"])

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.special import logsumexp
 
 from fcspin import (
     ModelParams,
+    Spectra,
+    build_block,
     concurrence,
     diagonalize,
     factorizing_field,
@@ -22,11 +25,14 @@ from fcspin import (
     oracle_log_partition,
     oracle_observables,
     pair_density,
+    parity_split,
     parity_transitions,
+    sector_spins,
     spectrum_low,
     thermal_concurrence,
     thermal_observables,
 )
+from fcspin.exact import GROUND_DEGENERACY_RTOL, _lowest_level_bound
 from tests.conftest import draw_params, draw_temperature
 
 ATOL = 1e-9
@@ -246,3 +252,98 @@ def test_limit_temperature_strong_field_is_parallel():
     assert lt.t_plus > 0.0
     assert thermal_concurrence(p, lt.t_plus - 1e-3).c_plus > 0.0
     assert thermal_concurrence(p, lt.t_plus + 1e-3).c_plus < 0.0
+
+
+# ---------------------------------------------------------------------------
+# Boltzmann window against the fully solved spectrum
+
+
+def _unpruned(sp, T):
+    """ln Z and correlators summed over every level of a solved spectrum."""
+    n = sp.params.n
+    if T == 0:
+        tol = GROUND_DEGENERACY_RTOL * sp.params.v_x
+        a = np.where(sp.energy <= sp.energy.min() + tol, sp.log_mult, -np.inf)
+    else:
+        a = sp.log_mult - sp.energy / T
+    ln_z = float(logsumexp(a))
+    w = np.exp(a - ln_z)
+    denom = n * (n - 1)
+    return ln_z, {"alpha_x": (w @ sp.m2x - 0.25 * n) / denom,
+                  "alpha_y": (w @ sp.m2y - 0.25 * n) / denom,
+                  "alpha_z": (w @ sp.m2z - 0.25 * n) / denom,
+                  "sz": w @ sp.m1z / n}
+
+
+def _window_draws():
+    rng = np.random.default_rng(53)
+    for n in (2, 7, 60, 151, 400):
+        p = draw_params(rng, n)
+        yield p
+        yield p.with_field(0.0)  # parity doublet below b_c
+
+
+@pytest.mark.parametrize("p", list(_window_draws()),
+                         ids=lambda p: f"n{p.n}-b{p.b:.2f}")
+def test_window_matches_full_spectrum(p):
+    full = Spectra(p)
+    full.energy  # solves every sub-block
+    for t in (0.0, 0.05, 0.2, 1.0, 5.0):
+        T = t * p.v_x
+        windowed = Spectra(p)
+        ln_z = log_partition(windowed, T)
+        corr = thermal_observables(windowed, T)
+        want_ln_z, want = _unpruned(full, T)
+        assert math.isclose(ln_z, want_ln_z, rel_tol=1e-12, abs_tol=1e-12)
+        for f, v in want.items():
+            assert abs(getattr(corr, f) - v) <= 1e-12, (T, f)
+
+
+def test_window_solves_few_sectors_when_cold():
+    p = ModelParams.from_chi(400, 0.8, 0.5)
+    sp = Spectra(p)
+    thermal_observables(sp, 0.1)
+    assert 0 < sp._solved.sum() < 0.2 * len(sp._solved)
+
+
+def test_level_bound_is_below_the_lowest_level():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 5, 40, 201):
+        for _ in range(3):
+            p = draw_params(rng, n)
+            sp = diagonalize(p)
+            for ts, sec in zip(sector_spins(n), sp.sectors):
+                for sub in parity_split(build_block(p, ts)).blocks:
+                    solved = sec.energy[sec.parity == sub.parity]
+                    lowest = (sub.diag[0] if sub.dim == 1 else
+                              eigvalsh_tridiagonal(sub.diag, sub.off)[0])
+                    bound = _lowest_level_bound(sub)
+                    assert bound <= solved[0] and bound <= lowest
+
+
+def test_results_do_not_depend_on_earlier_temperatures():
+    p = ModelParams(n=300, b=0.6, v_x=1.0, v_y=-0.3, v_z=0.2)
+    sp = Spectra(p)
+    thermal_observables(sp, 2.0)
+    got = (thermal_observables(sp, 0.1), log_partition(sp, 0.1))
+    diagonalize.cache_clear()
+    fresh = diagonalize(p)
+    assert (thermal_observables(fresh, 0.1), log_partition(fresh, 0.1)) == got
+
+
+def test_cached_arrays_are_read_only():
+    p = ModelParams(n=12, b=0.3, v_x=1.0, v_y=0.4, v_z=-0.2)
+    sp = diagonalize(p)
+    before = {f: getattr(sp, f).copy() for f in
+              ("energy", "m2x", "m2y", "m2z", "m1z", "log_mult", "two_s",
+               "parity", "k_index")}
+    sec = sp.sectors[0]
+    arrays = [getattr(sp, f) for f in before] + [
+        sec.parity, sec.k_index, sec.energy, sec.m2x, sec.m2y, sec.m2z,
+        sec.m1z]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    again = diagonalize(p)
+    for f, v in before.items():
+        assert np.array_equal(getattr(again, f), v), f
