@@ -123,12 +123,13 @@ def _eval_point(method: str, params: ModelParams, T: float,
     try:
         if method == "exact":
             spectra = diagonalize(params)
+            if conc or corr_keys:
+                obs = thermal_observables(spectra, T)
             if conc:
                 values.update(_report_to_values(
-                    concurrence(pair_density(
-                        thermal_observables(spectra, T), n)), n))
+                    concurrence(pair_density(obs, n)), n))
             if corr_keys:
-                values.update(_corr_values(thermal_observables(spectra, T)))
+                values.update(_corr_values(obs))
             if "lnZ" in need:
                 values["lnZ"] = log_partition(spectra, T)
         elif method == "oracle":

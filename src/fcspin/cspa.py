@@ -19,7 +19,9 @@ finite temperature T* and is the low-temperature limit of the method.
 Axes with a vanishing coupling carry no auxiliary field and are omitted from
 the quadrature.  Axes with a negative coupling require an imaginary-axis
 contour and are treated in the Gaussian saddle-point approximation around the
-real stationary point, node by node of the remaining quadrature.
+real stationary point, found for all nodes of the remaining quadrature at
+once.  The correlators are weighted averages of closed-form kernels over the
+nodes of the same quadrature; only a deformed axis differentiates ln Z.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
+# not called: perfbench/tracer.py wraps this name as the static-path solver
+from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .errors import BreakdownError, NumericalError
 from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
-from .meanfield import ln_2cosh
 from .params import ModelParams
 
 __all__ = [
@@ -49,6 +51,15 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# |q| below which _lnsinhc_derivs and _tanhc_derivs use their Taylor series:
+# the closed forms cancel like 1/q^2 there, the truncated series are good to
+# about 1e-9 relative at the switch
+_SERIES_Q = 1e-2
+# the two other axes of each axis, in the cyclic order of omega^2
+_OTHERS = ((1, 2), (2, 0), (0, 1))
+# relative step of the central difference of ln Z on a deformed axis
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,6 @@ class CspaConfig:
     max_nodes: int = 768
     cutoff_sigmas: float = 12.0
     allow_negative_couplings: bool = True
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -139,19 +149,40 @@ def _phi_mode(s, beta: float):
     return out, bad, margin
 
 
-def _mode_response(s, beta: float) -> np.ndarray:
-    """d/d(omega^2) of -phi_mode times 2T: the (2/(beta w) - coth(w/2T))/(2w) factor."""
-    s = np.asarray(s, dtype=float)
-    tiny = beta * beta * np.abs(s) < 1e-6
-    pos = (s > 0.0) & ~tiny
-    neg = (s < 0.0) & ~tiny
-    rt = np.sqrt(np.where(pos, s, 1.0))
-    v_pos = (2.0 / (beta * rt) - 1.0 / np.tanh(0.5 * beta * rt)) / (2.0 * rt)
-    t = np.sqrt(np.where(neg, -s, 1.0))
-    arg = 0.5 * beta * t
-    arg_safe = np.where(neg & (arg < math.pi), arg, 0.5 * math.pi)
-    v_neg = (1.0 / np.tan(arg_safe) - 2.0 / (beta * t)) / (2.0 * t)
-    return np.where(tiny, -beta / 12.0, np.where(pos, v_pos, v_neg))
+def _lnsinhc_derivs(q):
+    """(h', h'') of h(q) = ln[sinh(sqrt q)/sqrt q], continued to q < 0.
+
+    With q = beta^2 s/4, h is _phi_gap/_phi_mode up to a constant, so
+    d(phi)/ds = beta^2 h'/4.  Uses u = sqrt(q) coth(sqrt q), which is
+    sqrt(-q) cot(sqrt(-q)) for q < 0.  Points at or past the pole
+    (-q >= pi^2) raise BreakdownError before any derivative is taken.
+    """
+    q = np.asarray(q, dtype=float)
+    small = np.abs(q) < _SERIES_Q
+    qs = np.where(small, 1.0, q)
+    a = np.sqrt(np.abs(qs))
+    u = a / np.where(qs > 0.0, np.tanh(a), np.tan(a))
+    h1 = (u - 1.0) / (2.0 * qs)
+    h2 = (2.0 - u - (u * u - qs)) / (4.0 * qs * qs)
+    h1s = 1 / 6 + q * (-1 / 90 + q * (1 / 945 + q * (-1 / 9450 + q / 93555)))
+    h2s = -1 / 90 + q * (2 / 945 + q * (-1 / 3150 + q * 4 / 93555))
+    return np.where(small, h1s, h1), np.where(small, h2s, h2)
+
+
+def _tanhc_derivs(q):
+    """(tau', tau'') of tau(q) = tanh(sqrt q)/sqrt q for q >= 0."""
+    q = np.asarray(q, dtype=float)
+    small = q < _SERIES_Q
+    qs = np.where(small, 1.0, q)
+    a = np.sqrt(qs)
+    th = np.tanh(a)
+    sech2 = 1.0 - th * th
+    d1 = (sech2 - th / a) / (2.0 * qs)
+    d2 = -(3.0 * d1 + sech2 * th / a) / (2.0 * qs)
+    d1s = -1 / 3 + q * (4 / 15 + q * (-17 / 105 + q * (248 / 2835
+                                                      - q * 6910 / 155925)))
+    d2s = 4 / 15 + q * (-34 / 105 + q * (744 / 2835 - q * 27640 / 155925))
+    return np.where(small, d1s, d1), np.where(small, d2s, d2)
 
 
 def _core_fields(lx2, ly2, lz2, params: ModelParams, beta: float):
@@ -160,7 +191,8 @@ def _core_fields(lx2, ly2, lz2, params: ModelParams, beta: float):
     The components may be negative on a deformed (imaginary) axis; the total
     lam^2 must stay nonnegative.  Returns (static, phi_w, bad, margin, aux)
     where ``static`` = n ln 2cosh(beta lam/2) + phi(lam^2) is the part that
-    never diverges and aux = (w2, fx, fy, fz, tl) feeds the observables.
+    never diverges and aux = (lam2, w2, (fx, fy, fz), tl) feeds the
+    observables.
     """
     lam2 = np.maximum(np.asarray(lx2 + ly2 + lz2, dtype=float), 0.0)
     lam = np.sqrt(lam2)
@@ -175,11 +207,41 @@ def _core_fields(lx2, ly2, lz2, params: ModelParams, beta: float):
           + lz2 * (1.0 - fx) * (1.0 - fy))
     static = params.n * _ln_2cosh_arr(x) + _phi_gap(lam2, beta)
     phi_w, bad, margin = _phi_mode(w2, beta)
-    return static, phi_w, bad, margin, (w2, fx, fy, fz, tl)
+    return static, phi_w, bad, margin, (lam2, w2, (fx, fy, fz), tl)
+
+
+def _field_slopes(idx: int, ls, aux, hw, params: ModelParams, beta: float):
+    """dG/dL and d2G/dL2 at every node, for G = static - phi_w, L = ls[idx].
+
+    L enters through lam^2 = sum(ls) (the 2cosh power, phi(lam^2) and
+    f_mu = v_mu t(lam^2) with t = tanh(beta lam/2)/lam) and through its own
+    term of omega^2 = sum_mu ls[mu] (1 - f_j)(1 - f_k).  ``hw`` is
+    _lnsinhc_derivs at beta^2 omega^2/4.
+    """
+    lam2, _, f, tl = aux
+    v = params.couplings
+    bq = 0.25 * beta * beta
+    q = bq * lam2
+    tau1, tau2 = _tanhc_derivs(q)
+    t1 = 0.5 * beta * bq * tau1
+    t2 = 0.5 * beta * bq * bq * tau2
+    # d/dt of each (1 - f_j)(1 - f_k), and omega^2's t-derivatives
+    dc = [-(v[j] * (1.0 - f[k]) + v[k] * (1.0 - f[j])) for j, k in _OTHERS]
+    w_t = sum(l * d for l, d in zip(ls, dc))
+    w_tt = 2.0 * sum(ls[mu] * v[j] * v[k] for mu, (j, k) in enumerate(_OTHERS))
+    j, k = _OTHERS[idx]
+    w_l = (1.0 - f[j]) * (1.0 - f[k]) + w_t * t1
+    w_ll = 2.0 * dc[idx] * t1 + w_tt * t1 * t1 + w_t * t2
+    hs1, hs2 = _lnsinhc_derivs(q)
+    hw1, hw2 = hw
+    g_l = 0.25 * beta * params.n * tl + bq * (hs1 - hw1 * w_l)
+    g_ll = (0.25 * beta * params.n * t1 + bq * bq * (hs2 - hw2 * w_l * w_l)
+            - bq * hw1 * w_ll)
+    return g_l, g_ll
 
 
 # ---------------------------------------------------------------------------
-# quadrature sweeps
+# quadrature sweep
 
 
 def _split_axes(params: ModelParams, cfg: CspaConfig):
@@ -256,67 +318,144 @@ def _combine(slabs, kernel_names, margin, m):
     return _SweepOut(shift + math.log(total), averages, margin, m)
 
 
-def _kernels_for(quad, params: ModelParams, beta: float, lx2, ly2, lz2,
-                 aux, z: float):
-    """Observable kernels at the sampled static points.
+def _kernels(params: ModelParams, T: float, ls, aux, z):
+    """Node terms whose weighted averages give the correlators.
 
-    For each integrated axis: the squared magnetization r_mu^2/v_mu^2 and the
-    mode-response term R(w2) * d(w2)/d(v_mu); plus z/v_z for the spin average.
+    alpha_mu = (<k_mu> - 1/2) / (2(n-1)) on every axis that is not deformed,
+    and sz = <k_sz>.  On an integrated axis (v_mu > 0), k_mu =
+    n m_mu^2/2 - T/v_mu + R dw^2/dv_mu from differentiating ln Z.  An axis
+    without a field (v_mu = 0) takes the first order in v_mu of a Gaussian
+    of variance 2 v_mu/(beta n) over its field r, which gives
+    d(ln Z)/dv_mu = -beta/4 + <dg/dv_mu + (g_rr + g_r^2)/(beta n)> at r = 0.
+    Without a z field, sz = -T/n <dg/db>: the nodes do not depend on b, and g
+    depends on it only through (z - b)^2.  Nodes with a deformed axis are
+    evaluated at its saddle point.
     """
-    w2, fx, fy, fz, tl = aux
-    r = _mode_response(w2, beta)
+    beta = 1.0 / T
+    n = params.n
+    _, w2, f, tl = aux
+    hw = _lnsinhc_derivs(0.25 * beta * beta * w2)
+    resp = -0.5 * beta * hw[0]  # R(w2) = 2T d(-phi_w)/d(w2)
     out = {}
-    for idx in quad:
-        v = params.couplings[idx]
-        if idx == 0:
-            out["m2_0"] = lx2 / (v * v)
-            out["rdw_0"] = r * (-tl) * (ly2 * (1.0 - fz) + lz2 * (1.0 - fy))
-        elif idx == 1:
-            out["m2_1"] = ly2 / (v * v)
-            out["rdw_1"] = r * (-tl) * (lz2 * (1.0 - fx) + lx2 * (1.0 - fz))
-        else:
-            out["m2_2"] = (z / v) ** 2
-            out["rdw_2"] = r * (-tl) * (lx2 * (1.0 - fy) + ly2 * (1.0 - fx))
-            out["mz"] = z / v
+    for idx, v in enumerate(params.couplings):
+        if v < 0.0:
+            continue
+        j, k = _OTHERS[idx]
+        rdw = resp * (-tl) * (ls[j] * (1.0 - f[k]) + ls[k] * (1.0 - f[j]))
+        if v > 0.0:
+            r2 = z * z if idx == 2 else ls[idx]
+            out[idx] = 0.5 * n * r2 / (v * v) - T / v + rdw
+        elif v == 0.0:
+            g_l, g_ll = _field_slopes(idx, ls, aux, hw, params, beta)
+            # g_rr + g_r^2 at r = 0, with L = r^2 (x, y) or (r - b)^2 (z)
+            curv = 2.0 * g_l + 4.0 * ls[idx] * (g_ll + g_l * g_l)
+            out[idx] = rdw + 2.0 * T * T * curv / n
+            if idx == 2:
+                out["sz"] = -2.0 * T * params.b * g_l / n
+    if params.v_z != 0.0:
+        out["sz"] = 0.5 * z / params.v_z
     return out
 
 
-def _sweep_vec(params: ModelParams, T: float, cfg: CspaConfig, m: int,
-               quad, want_obs: bool) -> _SweepOut:
+def _golden_min(f, lo: float, hi: float, xatol: float, shape):
+    """Minimizer of f on (lo, hi) to within xatol, for a whole array at once.
+
+    Golden-section search: every step keeps, node by node, the part of the
+    interval around the smaller interior value, at one evaluation of f on
+    the array per step.
+    """
+    a = np.full(shape, lo)
+    b = np.full(shape, hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log(xatol / (hi - lo)) / math.log(_INVPHI))):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    return 0.5 * (a + b)
+
+
+def _sweep(params: ModelParams, T: float, cfg: CspaConfig, m: int,
+           quad, spa, want_obs: bool) -> _SweepOut:
+    """The quadrature at m nodes per integrated axis, one z slab at a time.
+
+    A deformed variable is fixed, at every node of the integrated axes, at
+    the real stationary point of its log-weight P along the real axis: y at
+    0 by symmetry, z by a golden-section search over all nodes at once.
+    Its Gaussian cross-section contributes -ln(P'')/2, P'' from a
+    three-point stencil; mixed curvature terms vanish because the
+    stationary y is 0.
+    """
     beta = 1.0 / T
     n, b = params.n, params.b
     vx, vy, vz = params.couplings
+    c = 0.25 * beta * n
+    sig = cfg.cutoff_sigmas
+    one = (np.array([0.0]), np.array([1.0]))
 
-    xs, wx = _axis_nodes(vx, m, beta, n, cfg.cutoff_sigmas, False)
-    if 1 in quad:
-        ys, wy = _axis_nodes(vy, m, beta, n, cfg.cutoff_sigmas, False)
-    else:
-        ys, wy = np.array([0.0]), np.array([1.0])
-    if 2 in quad:
-        zs, wz = _axis_nodes(vz, m, beta, n, cfg.cutoff_sigmas, True)
-    else:
-        zs, wz = np.array([0.0]), np.array([1.0])
+    xs, wx = _axis_nodes(vx, m, beta, n, sig, False)
+    ys, wy = _axis_nodes(vy, m, beta, n, sig, False) if 1 in quad else one
+    zs, wz = _axis_nodes(vz, m, beta, n, sig, True) if 2 in quad else one
 
     lx2 = (xs * xs)[:, None]
     ly2 = (ys * ys)[None, :]
-    g_quad = -(0.25 * beta * n) * (xs * xs / vx)[:, None]
+    g_quad = -c * (xs * xs / vx)[:, None]
     if 1 in quad:
-        g_quad = g_quad + (-(0.25 * beta * n) * (ys * ys / vy))[None, :]
+        g_quad = g_quad + (-c * (ys * ys / vy))[None, :]
     lnw_xy = np.log(wx)[:, None] + np.log(wy)[None, :]
+
+    y_def, z_def = 1 in spa, 2 in spa
+    hy = 1e-3 * math.sqrt(2.0 * abs(vy) / (beta * n))
+    hz = 1e-3 * math.sqrt(2.0 * abs(vz) / (beta * n))
+    zlim = abs(vz) + sig * math.sqrt(abs(vz) / (beta * n))
+
+    def p_real(ly2q, zq):
+        # log-weight along the real axis of the deformed variables, +inf
+        # past the pole; its minimum is the contour crossing
+        g = c * ly2q / abs(vy) if y_def else 0.0
+        if z_def:
+            g = g + c * zq * zq / abs(vz)
+        static, phi_w, bad, _, _ = _core_fields(lx2, ly2q, (zq - b) ** 2,
+                                                params, beta)
+        return np.where(bad, np.inf, g + static - phi_w)
 
     slabs = []
     kernel_names = []
     margin = _TWO_PI
     for iz, z in enumerate(zs):
-        lz2 = (z - b) ** 2
-        g_z = -(0.25 * beta * n) * z * z / vz if 2 in quad else 0.0
-        static, phi_w, bad, mrg, aux = _core_fields(lx2, ly2, lz2, params, beta)
+        if z_def:
+            z = _golden_min(lambda zq: p_real(ly2, zq), -zlim, zlim,
+                            1e-10 * max(abs(vz), vx), g_quad.shape)
+        ls = (lx2, ly2, (z - b) ** 2)
+        static, phi_w, bad, mrg, aux = _core_fields(*ls, params, beta)
         if bad.any():
             raise _breakdown(mrg)
         margin = min(margin, mrg)
-        g_static = static + g_quad + g_z
+        if z_def:
+            g_z = c * z * z / abs(vz)
+        else:
+            g_z = -c * z * z / vz if 2 in quad else 0.0
         lnw = lnw_xy + math.log(wz[iz])
-        gw = g_static + lnw - phi_w
+        gw = static + g_quad + g_z + lnw - phi_w
+        if spa:
+            p0 = (g_z if z_def else 0.0) + static - phi_w
+        if y_def:
+            hyy = 2.0 * (p_real(hy * hy, z) - p0) / (hy * hy)
+            if not np.all(hyy > 0.0):
+                raise NumericalError(
+                    "nonpositive curvature on the deformed y axis")
+            gw = gw - 0.5 * np.log(hyy)
+        if z_def:
+            hzz = (p_real(ly2, z + hz) - 2.0 * p0
+                   + p_real(ly2, z - hz)) / (hz * hz)
+            if not np.all(hzz > 0.0):
+                raise NumericalError(
+                    "nonpositive curvature on the deformed z axis")
+            gw = gw - 0.5 * np.log(hzz)
         smax = float(np.max(gw))
         if smax == -math.inf:
             continue
@@ -324,7 +463,7 @@ def _sweep_vec(params: ModelParams, T: float, cfg: CspaConfig, m: int,
         i_s = float(np.sum(e))
         k_s = {}
         if want_obs:
-            kern = _kernels_for(quad, params, beta, lx2, ly2, lz2, aux, z)
+            kern = _kernels(params, T, ls, aux, z)
             kernel_names = list(kern)
             for name, arr in kern.items():
                 k_s[name] = float(np.sum(e * np.where(e > 0.0, arr, 0.0)))
@@ -332,127 +471,12 @@ def _sweep_vec(params: ModelParams, T: float, cfg: CspaConfig, m: int,
     return _combine(slabs, kernel_names, margin, m)
 
 
-def _sweep_spa(params: ModelParams, T: float, cfg: CspaConfig, m: int,
-               quad, spa, want_obs: bool) -> _SweepOut:
-    """Scalar sweep used when some couplings are negative.
-
-    At every node of the integrated axes the deformed (imaginary-contour)
-    variables are fixed at the real stationary point of the log-weight:
-    y at 0 by symmetry, z by a bounded minimization; the Gaussian
-    cross-section contributes -ln(curvature)/2 per deformed axis.  Mixed
-    curvature terms vanish because the stationary y is 0.
-    """
-    beta = 1.0 / T
-    n, b = params.n, params.b
-    vx, vy, vz = params.couplings
-
-    xs, wx = _axis_nodes(vx, m, beta, n, cfg.cutoff_sigmas, False)
-    if 1 in quad:
-        ys, wy = _axis_nodes(vy, m, beta, n, cfg.cutoff_sigmas, False)
-    else:
-        ys, wy = np.array([0.0]), np.array([1.0])
-    if 2 in quad:
-        zs, wz = _axis_nodes(vz, m, beta, n, cfg.cutoff_sigmas, True)
-    else:
-        zs, wz = np.array([0.0]), np.array([1.0])
-
-    y_spa = 1 in spa
-    z_spa = 2 in spa
-    hy = 1e-3 * math.sqrt(2.0 * abs(vy) / (beta * n)) if y_spa else 0.0
-    hz = 1e-3 * math.sqrt(2.0 * abs(vz) / (beta * n)) if z_spa else 0.0
-    zlim = abs(vz) + cfg.cutoff_sigmas * math.sqrt(abs(vz) / (beta * n)) \
-        if z_spa else 0.0
-
-    slabs = []
-    kernel_names = []
-    margin = _TWO_PI
-
-    def core(lx2, ly2, lz2):
-        static, phi_w, bad, mrg, aux = _core_fields(lx2, ly2, lz2, params, beta)
-        return float(static), float(phi_w), bool(bad), mrg, aux
-
-    for ix, xv in enumerate(xs):
-        for iy, yv in enumerate(ys):
-            for iz, zv in enumerate(zs):
-                g_quad = -(0.25 * beta * n) * xv * xv / vx
-                if 1 in quad:
-                    g_quad -= (0.25 * beta * n) * yv * yv / vy
-                if 2 in quad:
-                    g_quad -= (0.25 * beta * n) * zv * zv / vz
-                lnw = math.log(wx[ix] * wy[iy] * wz[iz])
-
-                def p_real(yq: float, zq: float) -> float:
-                    # log-weight along the real axis of the deformed
-                    # variables; its minimum is the contour crossing
-                    g = 0.0
-                    ly2v = yv * yv
-                    lz2v = (zv - b) ** 2
-                    if y_spa:
-                        g += 0.25 * beta * n * yq * yq / abs(vy)
-                        ly2v = yq * yq
-                    if z_spa:
-                        g += 0.25 * beta * n * zq * zq / abs(vz)
-                        lz2v = (zq - b) ** 2
-                    st, pw, bd, _, _ = core(xv * xv, ly2v, lz2v)
-                    if bd:
-                        return math.inf
-                    return g + st - pw
-
-                z0 = zv
-                if z_spa:
-                    res = minimize_scalar(
-                        lambda zq: p_real(0.0, zq),
-                        bounds=(-zlim, zlim), method="bounded",
-                        options={"xatol": 1e-10 * max(abs(vz), vx)})
-                    z0 = float(res.x)
-                ly2_eff = 0.0 if y_spa else yv * yv
-                lz2_eff = (z0 - b) ** 2
-                st, pw, bd, mrg, aux = core(xv * xv, ly2_eff, lz2_eff)
-                if bd:
-                    raise _breakdown(mrg)
-                margin = min(margin, mrg)
-                g_static = g_quad + st
-                if z_spa:
-                    g_static += 0.25 * beta * n * z0 * z0 / abs(vz)
-                sw = g_static + lnw
-                curv = 0.0
-                p0 = p_real(0.0, z0)
-                if y_spa:
-                    hyy = 2.0 * (p_real(hy, z0) - p0) / (hy * hy)
-                    if not hyy > 0.0:
-                        raise NumericalError(
-                            "nonpositive curvature on the deformed y axis")
-                    curv += 0.5 * math.log(hyy)
-                if z_spa:
-                    hzz = (p_real(0.0, z0 + hz) - 2.0 * p0
-                           + p_real(0.0, z0 - hz)) / (hz * hz)
-                    if not hzz > 0.0:
-                        raise NumericalError(
-                            "nonpositive curvature on the deformed z axis")
-                    curv += 0.5 * math.log(hzz)
-                g_val = sw - pw - curv
-                k_s = {}
-                if want_obs:
-                    kern = _kernels_for(quad, params, beta, xv * xv, ly2_eff,
-                                        lz2_eff, aux, zv)
-                    if z_spa:
-                        kern["mz"] = z0 / vz
-                    kernel_names = list(kern)
-                    k_s = {name: float(arr) for name, arr in kern.items()}
-                slabs.append((g_val, 1.0, k_s))
-    return _combine(slabs, kernel_names, margin, m)
-
-
-def _integrate(params: ModelParams, T: float, cfg: CspaConfig,
+def _integrate(params: ModelParams, T: float, cfg: CspaConfig, quad, spa,
                want_obs: bool) -> _SweepOut:
-    quad, spa = _split_axes(params, cfg)
     m = cfg.min_nodes
     prev = None
     while True:
-        if spa:
-            cur = _sweep_spa(params, T, cfg, m, quad, spa, want_obs)
-        else:
-            cur = _sweep_vec(params, T, cfg, m, quad, want_obs)
+        cur = _sweep(params, T, cfg, m, quad, spa, want_obs)
         if prev is not None and (abs(cur.ln_integral - prev.ln_integral)
                                  <= cfg.rel_tol * max(1.0, abs(cur.ln_integral))):
             return cur
@@ -507,61 +531,32 @@ def cspa_log_partition(params: ModelParams, T: float,
     cfg = cfg or CspaConfig()
     if T <= 0:
         raise ValueError("static-path partition function needs T > 0")
-    beta = 1.0 / T
     quad, spa = _split_axes(params, cfg)
-    if not quad and not spa:
-        return params.n * ln_2cosh(0.5 * beta * params.b)
-    out = _integrate(params, T, cfg, want_obs=False)
-    return out.ln_integral + _const_terms(params, beta, quad, spa)
+    out = _integrate(params, T, cfg, quad, spa, want_obs=False)
+    return out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
 
 
 def cspa_result(params: ModelParams, T: float,
                 cfg: CspaConfig | None = None) -> CspaResult:
     """ln Z together with the pair correlators and quadrature diagnostics.
 
-    Correlators on integrated axes come from the sampled averages
-    alpha_mu = [n<m_mu^2>/2 - T/v_mu - 1/2 + <R dw^2/dv_mu>] / (2(n-1));
-    axes without their own field (v_mu = 0) and deformed axes fall back to
-    differentiating ln Z.  The spin average uses sz = <m_z>/2 when the z
-    field exists and a central field derivative otherwise.
+    alpha_mu = T d(ln Z)/dv_mu / (n - 1) and sz = -T d(ln Z)/db / n come
+    from kernels averaged over the nodes of the ln Z quadrature itself
+    (see _kernels); a deformed axis (v_mu < 0) differences ln Z centrally.
     """
     cfg = cfg or CspaConfig()
     if T <= 0:
         raise ValueError("static-path partition function needs T > 0")
     if params.n < 2:
         raise ValueError("pair correlators need n >= 2")
-    n = params.n
-    beta = 1.0 / T
     quad, spa = _split_axes(params, cfg)
-    if not quad and not spa:
-        # independent spins in a field: everything is analytic
-        th = math.tanh(0.5 * beta * params.b)
-        corr = Correlators(alpha_x=0.0, alpha_y=0.0, alpha_z=0.25 * th * th,
-                           sz=-0.5 * th)
-        return CspaResult(n * ln_2cosh(0.5 * beta * params.b), corr,
-                          _TWO_PI, 0)
-
-    out = _integrate(params, T, cfg, want_obs=True)
-    ln_z = out.ln_integral + _const_terms(params, beta, quad, spa)
-
-    alphas = [0.0, 0.0, 0.0]
-    inv = 1.0 / (2.0 * (n - 1))
-    for idx in quad:
-        v = params.couplings[idx]
-        a = (0.5 * n * out.averages[f"m2_{idx}"] - T / v - 0.5
-             + out.averages[f"rdw_{idx}"])
-        alphas[idx] = inv * a
-    for idx in (0, 1, 2):
-        if idx in quad:
-            continue
-        alphas[idx] = _alpha_fd(params, T, cfg, idx, ln_z)
-
-    if 2 in quad or 2 in spa:
-        sz = 0.5 * out.averages["mz"]
-    else:
-        sz = _sz_fd(params, T, cfg)
+    out = _integrate(params, T, cfg, quad, spa, want_obs=True)
+    ln_z = out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
+    inv = 1.0 / (2.0 * (params.n - 1))
+    alphas = [_alpha_deformed(params, T, cfg, idx) if idx in spa
+              else inv * (out.averages[idx] - 0.5) for idx in range(3)]
     corr = Correlators(alpha_x=alphas[0], alpha_y=alphas[1],
-                       alpha_z=alphas[2], sz=sz)
+                       alpha_z=alphas[2], sz=out.averages["sz"])
     return CspaResult(ln_z, corr, out.margin, out.nodes)
 
 
@@ -578,37 +573,16 @@ def cspa_concurrence(params: ModelParams, T: float,
     return concurrence(pair_density(corr, params.n), formation=formation)
 
 
-def _with_coupling(params: ModelParams, idx: int, value: float) -> ModelParams:
-    kw = dict(n=params.n, b=params.b, v_x=params.v_x, v_y=params.v_y,
-              v_z=params.v_z)
-    kw[("v_x", "v_y", "v_z")[idx]] = value
-    return ModelParams(**kw)
+def _alpha_deformed(params: ModelParams, T: float, cfg: CspaConfig,
+                    idx: int) -> float:
+    """alpha_mu = T d(ln Z)/d(v_mu) / (n - 1) on a deformed axis (v_mu < 0).
 
-
-def _alpha_fd(params: ModelParams, T: float, cfg: CspaConfig, idx: int,
-              ln_z0: float) -> float:
-    """alpha_mu = T d(ln Z)/d(v_mu) / (n - 1) by finite differences.
-
-    One-sided (second order) into v_mu > 0 from the v_mu = 0 boundary, since
-    crossing zero changes the integration treatment of the axis; central for
-    deformed axes, with the step kept inside the negative range.
+    The saddle-point cross-section has no node kernel, so ln Z is
+    differenced centrally, with the step kept inside the negative range.
     """
     v = params.couplings[idx]
-    fac = T / (params.n - 1)
-    if v == 0.0:
-        h = cfg.fd_step * params.v_x
-        f1 = cspa_log_partition(_with_coupling(params, idx, h), T, cfg)
-        f2 = cspa_log_partition(_with_coupling(params, idx, 2.0 * h), T, cfg)
-        return fac * (4.0 * f1 - 3.0 * ln_z0 - f2) / (2.0 * h)
-    h = cfg.fd_step * min(params.v_x, 0.5 * abs(v))
-    fp = cspa_log_partition(_with_coupling(params, idx, v + h), T, cfg)
-    fm = cspa_log_partition(_with_coupling(params, idx, v - h), T, cfg)
-    return fac * (fp - fm) / (2.0 * h)
-
-
-def _sz_fd(params: ModelParams, T: float, cfg: CspaConfig) -> float:
-    """sz = -T d(ln Z)/db / n; exact through b = 0 since ln Z is even in b."""
-    h = cfg.fd_step * max(params.b, params.v_x)
-    fp = cspa_log_partition(params.with_field(params.b + h), T, cfg)
-    fm = cspa_log_partition(params.with_field(params.b - h), T, cfg)
-    return -T * (fp - fm) / (2.0 * h * params.n)
+    name = ("v_x", "v_y", "v_z")[idx]
+    h = _FD_STEP * min(params.v_x, 0.5 * abs(v))
+    fp = cspa_log_partition(params.replace(**{name: v + h}), T, cfg)
+    fm = cspa_log_partition(params.replace(**{name: v - h}), T, cfg)
+    return T / (params.n - 1) * (fp - fm) / (2.0 * h)

@@ -357,13 +357,6 @@ def _coth_dlam(sol: MeanFieldSolution, params: ModelParams, T: float,
     return 0.0
 
 
-def _perturbed(params: ModelParams, eta: str, h: float) -> ModelParams:
-    kw = dict(n=params.n, b=params.b, v_x=params.v_x, v_y=params.v_y,
-              v_z=params.v_z)
-    kw[eta] = kw[eta] + h
-    return ModelParams(**kw)
-
-
 def _step_room(params: ModelParams, eta: str) -> tuple[float, float]:
     """How far eta may move (down, up) before leaving the parameter domain.
 
@@ -385,7 +378,8 @@ def _fd_omega_zeta(sol: MeanFieldSolution, params: ModelParams, T: float,
     domain edge (the near-XXZ corner for v_x, v_y).
     """
     def solved(step: float) -> MeanFieldSolution:
-        return solve_mean_field(_perturbed(params, eta, step), T)
+        return solve_mean_field(
+            params.replace(**{eta: getattr(params, eta) + step}), T)
 
     def omega_of(s: MeanFieldSolution) -> float:
         if s.omega_sq <= 0:

@@ -76,6 +76,10 @@ class ModelParams:
         """Build params from the anisotropy chi instead of v_y."""
         return cls(n=n, b=b, v_x=v_x, v_y=v_z + chi * (v_x - v_z), v_z=v_z)
 
+    def replace(self, **kw) -> "ModelParams":
+        """Copy with the named fields changed, validated like a new instance."""
+        return ModelParams(**{**vars(self), **kw})
+
     def with_field(self, b: float) -> "ModelParams":
         return ModelParams(self.n, b, self.v_x, self.v_y, self.v_z)
 

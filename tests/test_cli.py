@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,16 @@ from fcspin import ModelParams, thermal_concurrence
 from fcspin.cli import ResultRow, SweepSpec, emit_csv, emit_json, main, run_sweep
 
 
+# the child process imports the same fcspin as this one, installed or not
+SRC = str(Path(fcspin.cli.__file__).resolve().parents[1])
+
+
 def run_cli(*args: str):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fcspin.cli", *args],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 

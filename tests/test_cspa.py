@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import fcspin.cspa
 from fcspin import (
     BreakdownError,
     CspaConfig,
@@ -211,3 +212,98 @@ def test_zero_y_coupling_axis_is_omitted():
     T = 0.3
     ex = log_partition(diagonalize(p), T)
     assert abs(cspa_log_partition(p, T) - ex) / abs(ex) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# kernels on the base nodes against differences of ln Z
+
+
+@pytest.mark.parametrize("params, axis", [
+    (P100, "v_z"),
+    (ModelParams(n=50, b=0.4, v_x=1.0, v_y=0.0, v_z=0.0), "v_y"),  # chi = 0
+])
+def test_zero_axis_alpha_is_the_one_sided_coupling_derivative(params, axis):
+    # a v_mu = 0 axis has no field; its alpha comes from the first order of
+    # the axis Gaussian.  Reference: second-order one-sided difference of the
+    # quadrature into v_mu > 0, where the axis is integrated.  rel 1e-5.
+    T, h = 0.3, 1e-5
+    f0, f1, f2 = (cspa_log_partition(params.replace(**{axis: k * h}), T)
+                  for k in (0, 1, 2))
+    der = (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
+    got = getattr(cspa_observables(params, T), "alpha_" + axis[-1])
+    assert math.isclose(got, T * der / (params.n - 1), rel_tol=1e-5)
+
+
+def test_spin_average_is_the_field_derivative():
+    # without a z field, sz = -T dlnZ/db / n from the same nodes; reference:
+    # central b-difference of the quadrature.  rel 1e-5.
+    T, h = 0.3, 1e-5
+    der = (cspa_log_partition(P100.with_field(P100.b + h), T)
+           - cspa_log_partition(P100.with_field(P100.b - h), T)) / (2.0 * h)
+    got = cspa_observables(P100, T).sz
+    assert math.isclose(got, -T * der / P100.n, rel_tol=1e-5)
+
+
+def test_result_at_zero_vz_makes_no_extra_quadrature(monkeypatch):
+    # every correlator at v_z = 0 comes from the one base quadrature
+    calls = []
+    integrate = fcspin.cspa._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-quadrature of ln Z")
+
+    monkeypatch.setattr(fcspin.cspa, "_integrate", counted)
+    monkeypatch.setattr(fcspin.cspa, "cspa_log_partition", refuse)
+    res = cspa_result(P100, 0.3)
+    assert len(calls) == 1
+    assert math.isfinite(res.corr.alpha_z) and math.isfinite(res.corr.sz)
+
+
+# ---------------------------------------------------------------------------
+# deformed (negative-coupling) axes
+
+
+def test_one_axis_negative_y_against_oracle():
+    # v_y < 0, v_z = 0: only x is integrated, y sits at its saddle.  2e-3.
+    p = ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.0)
+    T = 0.5
+    got = cspa_log_partition(p, T)
+    want = oracle_log_partition(p, T)
+    assert abs(got - want) / abs(want) < 2e-3
+
+
+# ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
+# every node) that the vectorized sweep replaced
+SCALAR_SWEEP_LN_Z = [
+    (ModelParams(n=7, b=0.6, v_x=1.0, v_y=-0.3, v_z=0.0), 1.1,
+     5.165411547192617),
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=0.3, v_z=-0.3), 1.2,
+     4.325370138006521),
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=0.2, v_z=-0.8), 0.5,
+     6.383935636180357),
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.3), 0.5,
+     6.76720527317935),
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=-0.4, v_z=-0.3), 1.0,
+     4.396852260392956),
+]
+
+
+@pytest.mark.parametrize("p, T, want", SCALAR_SWEEP_LN_Z)
+def test_vectorized_saddle_matches_scalar_sweep(p, T, want):
+    # rel 1e-9: the stationary z is located to ~1e-8 by either search (the
+    # log-weight is flat there to double precision), which moves the
+    # stencil curvature and ln Z by well under that
+    assert math.isclose(cspa_log_partition(p, T), want, rel_tol=1e-9)
+
+
+def test_golden_search_meets_its_tolerance():
+    # one search for a whole array of minimizers, each to within xatol
+    centers = np.linspace(-0.9, 0.7, 13)
+    xatol = 1e-10
+    got = fcspin.cspa._golden_min(lambda x: np.abs(x - centers), -1.3, 1.3,
+                                  xatol, centers.shape)
+    assert np.max(np.abs(got - centers)) <= xatol

@@ -138,6 +138,18 @@ def test_log_partition_close_to_exact():
         assert abs(mf - ex) / abs(ex) < 0.01, (b, T)
 
 
+def test_params_replace_validates_like_a_new_instance():
+    # the one perturbation helper: folds b, rejects the axis convention's
+    # violations and unknown fields, leaves the original untouched
+    p = ModelParams.from_chi(10, 0.5, 0.5)
+    assert p.replace(b=-0.3) == ModelParams(n=10, b=0.3, v_x=1.0, v_y=0.5)
+    assert p.replace(v_z=0.2).v_z == 0.2 and p.v_z == 0.0
+    with pytest.raises(ValueError):
+        p.replace(v_y=1.5)
+    with pytest.raises(TypeError):
+        p.replace(chi=0.1)
+
+
 def test_log_partition_guards():
     p = ModelParams.from_chi(100, 0.0, 0.5)
     with pytest.raises(ValueError):
