@@ -37,6 +37,7 @@ from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .errors import BreakdownError, NumericalError
 from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
+from .meanfield import _fd_stencil
 from .params import ModelParams
 
 __all__ = [
@@ -58,8 +59,10 @@ _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _SERIES_Q = 1e-2
 # the two other axes of each axis, in the cyclic order of omega^2
 _OTHERS = ((1, 2), (2, 0), (0, 1))
-# relative step of the central difference of ln Z on a deformed axis
+# relative steps of the differences of ln Z on a deformed axis: central, and
+# one-sided at v_y = -v_x, longer since that stencil amplifies ln Z noise more
 _FD_STEP = 1e-5
+_FD_EDGE_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -542,7 +545,7 @@ def cspa_result(params: ModelParams, T: float,
 
     alpha_mu = T d(ln Z)/dv_mu / (n - 1) and sz = -T d(ln Z)/db / n come
     from kernels averaged over the nodes of the ln Z quadrature itself
-    (see _kernels); a deformed axis (v_mu < 0) differences ln Z centrally.
+    (see _kernels); a deformed axis (v_mu < 0) differences ln Z.
     """
     cfg = cfg or CspaConfig()
     if T <= 0:
@@ -553,7 +556,7 @@ def cspa_result(params: ModelParams, T: float,
     out = _integrate(params, T, cfg, quad, spa, want_obs=True)
     ln_z = out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
     inv = 1.0 / (2.0 * (params.n - 1))
-    alphas = [_alpha_deformed(params, T, cfg, idx) if idx in spa
+    alphas = [_alpha_deformed(params, T, cfg, idx, ln_z) if idx in spa
               else inv * (out.averages[idx] - 0.5) for idx in range(3)]
     corr = Correlators(alpha_x=alphas[0], alpha_y=alphas[1],
                        alpha_z=alphas[2], sz=out.averages["sz"])
@@ -574,15 +577,17 @@ def cspa_concurrence(params: ModelParams, T: float,
 
 
 def _alpha_deformed(params: ModelParams, T: float, cfg: CspaConfig,
-                    idx: int) -> float:
+                    idx: int, ln_z: float) -> float:
     """alpha_mu = T d(ln Z)/d(v_mu) / (n - 1) on a deformed axis (v_mu < 0).
 
-    The saddle-point cross-section has no node kernel, so ln Z is
-    differenced centrally, with the step kept inside the negative range.
+    The saddle-point cross-section has no node kernel, so ln Z is differenced
+    inside the negative range, one-sided from ``ln_z`` at v_y = -v_x.
     """
     v = params.couplings[idx]
     name = ("v_x", "v_y", "v_z")[idx]
-    h = _FD_STEP * min(params.v_x, 0.5 * abs(v))
-    fp = cspa_log_partition(params.replace(**{name: v + h}), T, cfg)
-    fm = cspa_log_partition(params.replace(**{name: v - h}), T, cfg)
-    return T / (params.n - 1) * (fp - fm) / (2.0 * h)
+    scale = min(params.v_x, 0.5 * abs(v))
+    at = lambda step: (cspa_log_partition(
+        params.replace(**{name: v + step}), T, cfg),)
+    (diff,), width = _fd_stencil(at, (ln_z,), params, name, _FD_STEP * scale,
+                                 edge_h=_FD_EDGE_STEP * scale)
+    return T / (params.n - 1) * diff / width

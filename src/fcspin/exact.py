@@ -25,6 +25,7 @@ from scipy.optimize import brentq
 
 from .errors import InvalidStateError
 from .params import ModelParams
+from .roots import _sign_changes
 from .spin_algebra import (TridiagonalBlock, build_block, parity_split,
                            sector_spins)
 
@@ -56,6 +57,8 @@ GROUND_DEGENERACY_RTOL = 1e-12
 # the largest one get weight exactly 0, so the dropped Boltzmann mass is below
 # e^-BOLTZMANN_CUT of the partition function.
 BOLTZMANN_CUT = 50.0
+
+LIMIT_SCAN_POINTS = 400  # temperatures scanned by limit_temperatures
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
@@ -513,42 +516,22 @@ def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
     return _signed_concurrences(pd)
 
 
-def _positive_intervals(grid: np.ndarray, values: np.ndarray, f,
-                        xtol: float) -> list[tuple[float, float]]:
-    """Sign-change scan + root refinement; assumes f continuous on [grid[0], grid[-1]]."""
-    intervals: list[tuple[float, float]] = []
-    open_at: float | None = float(grid[0]) if values[0] > 0 else None
-    for i in range(len(grid) - 1):
-        fa, fb = values[i], values[i + 1]
-        if open_at is None and fb > 0:
-            start = (brentq(f, grid[i], grid[i + 1], xtol=xtol)
-                     if fa < 0 else float(grid[i]))
-            open_at = float(start)
-        elif open_at is not None and fb <= 0:
-            end = (brentq(f, grid[i], grid[i + 1], xtol=xtol)
-                   if fa > 0 > fb else float(grid[i + 1]))
-            intervals.append((open_at, float(end)))
-            open_at = None
-    if open_at is not None:
-        intervals.append((open_at, float(grid[-1])))
-    return intervals
-
-
 def limit_temperatures(params: ModelParams, b: float | None = None, *,
-                       t_max: float = 2.0, points: int = 400) -> LimitTemperatures:
+                       t_max: float = 2.0) -> LimitTemperatures:
     """All temperature intervals where C_+ > 0 and where C_- > 0.
 
-    Scans a geometric grid of ``points`` temperatures in [1e-4, t_max] v_x
-    (refined linearly at low T just above the factorizing field, where a
-    narrow reentrant antiparallel window can hide between grid points) and
-    polishes every sign change to 1e-5 v_x.  An interval starting at the
-    bottom of the window is extended to T = 0 when the ground-manifold
-    concurrence is itself positive.
+    Scans a geometric grid of ``LIMIT_SCAN_POINTS`` temperatures in
+    [1e-4, t_max] v_x (refined linearly at low T just above the factorizing
+    field, where a narrow reentrant antiparallel window can hide between
+    grid points) and polishes every sign change to 1e-5 v_x; a node where
+    C_pm is exactly 0 is itself an interval end (``roots._sign_changes``).
+    An interval starting at the bottom of the window is extended to T = 0
+    when the ground-manifold concurrence is itself positive.
     """
     p = params if b is None else params.with_field(b)
     spectra = diagonalize(p)
     vx = p.v_x
-    grid = np.geomspace(1e-4 * vx, t_max * vx, points)
+    grid = np.geomspace(1e-4 * vx, t_max * vx, LIMIT_SCAN_POINTS)
     d = p.v_x - p.v_z
     chi = p.chi
     if d > 0 and 0.0 < chi < 1.0:
@@ -564,7 +547,14 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
     out = []
     for comp in (0, 1):
         f = lambda t, _c=comp: _signed_c_of_t(spectra, t)[_c]
-        ivs = _positive_intervals(grid, vals[:, comp], f, xtol)
+        # alternating starts and ends of the positive runs
+        edges = [float(grid[0])] if vals[0, comp] > 0 else []
+        for c in _sign_changes(grid, vals[:, comp]):
+            x = c.polish(brentq, f, xtol=xtol)
+            edges += [x] * ((c.before > 0) + (c.after > 0))
+        if len(edges) % 2:
+            edges.append(float(grid[-1]))
+        ivs = list(zip(edges[::2], edges[1::2]))
         # extend down to T = 0 when the ground manifold is itself entangled
         if c0[comp] > 0:
             if ivs and ivs[0][0] <= grid[0] * (1 + 1e-12):
@@ -617,7 +607,9 @@ def parity_transitions(params: ModelParams,
     In the symmetry-breaking regime the two parities are quasi-degenerate and
     their splitting oscillates, giving n/2 crossings that accumulate toward
     the exact factorizing field (1 - 1/n) b_c sqrt(chi).  Tracks the sign of
-    the even-odd gap on a dense grid and refines each change by bisection.
+    the even-odd gap on max(400, 24 n) fields and refines each sign change
+    to 1e-12 b_c; a field where the gap is exactly 0, common at large n where
+    it sits at roundoff, is itself a crossing (``roots._sign_changes``).
     """
     d = params.v_x - params.v_z
     chi = params.chi
@@ -626,14 +618,6 @@ def parity_transitions(params: ModelParams,
     b_c = d
     lo, hi = b_range if b_range is not None else (1e-9 * b_c, b_c * (1 - 1e-9))
     grid = np.linspace(lo, hi, max(400, 24 * params.n))
-    gaps = np.array([_parity_gap(params, b) for b in grid])
-    crossings = []
-    for i in range(len(grid) - 1):
-        ga, gb = gaps[i], gaps[i + 1]
-        if ga == 0.0:
-            crossings.append(float(grid[i]))
-        elif ga * gb < 0:
-            crossings.append(float(brentq(lambda b: _parity_gap(params, b),
-                                          grid[i], grid[i + 1],
-                                          xtol=1e-12 * b_c)))
-    return crossings
+    gap = lambda b: _parity_gap(params, b)
+    return [c.polish(brentq, gap, xtol=1e-12 * b_c)
+            for c in _sign_changes(grid, [gap(b) for b in grid])]

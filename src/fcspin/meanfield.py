@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from .errors import DivergenceError, NumericalError
 from .exact import Correlators
 from .params import ModelParams
+from .roots import _sign_changes
 
 __all__ = [
     "PhaseConstants",
@@ -219,6 +220,9 @@ def rpa_energy_general(r: tuple[float, float, float], params: ModelParams,
     return RpaEnergy(squared=w2, value=math.sqrt(w2) if w2 >= 0 else None)
 
 
+_FD_STEP = 1e-5  # mean-field finite-difference step, in units of v_x
+DETERMINANT_SCAN_POINTS = 799  # frequencies scanned by rpa_energy_determinant
+
 _S_HALF = (
     np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
     np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
@@ -227,7 +231,7 @@ _S_HALF = (
 
 
 def rpa_energy_determinant(r: tuple[float, float, float], params: ModelParams,
-                           T: float, scan_points: int = 799) -> float | None:
+                           T: float) -> float | None:
     """RPA energy as the root of the 3x3 response determinant.
 
     Builds the two-level static Hamiltonian -lam.s, its thermal populations
@@ -235,8 +239,8 @@ def rpa_energy_determinant(r: tuple[float, float, float], params: ModelParams,
     <b|s_nu|a> (p_b - p_a)/(eps_a - eps_b - omega); omega solves
     det(I - K) = 0.  The determinant is evaluated with the pole at
     omega = lam cleared by the factor (lam^2 - omega^2), then scanned on
-    (0, 2 lam) and each sign change refined by bisection.  Returns the
-    smallest positive root, or None when there is none in the window.
+    ``DETERMINANT_SCAN_POINTS`` frequencies in [1e-6 lam, 2 lam].  Returns
+    the first root of the scan (``roots._sign_changes``), or None.
     """
     lam_vec = np.array([r[0], r[1], r[2] - params.b])
     lam = float(np.linalg.norm(lam_vec))
@@ -263,19 +267,10 @@ def rpa_energy_determinant(r: tuple[float, float, float], params: ModelParams,
         d = np.linalg.det(np.eye(3) - k)
         return float(((lam * lam - w * w) * d).real)
 
-    grid = np.linspace(1e-6 * lam, 2.0 * lam, scan_points)
-    vals = np.array([cleared_det(w) for w in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(cleared_det, grid[i], grid[i + 1],
-                                      xtol=1e-14 * lam, rtol=8.9e-16)))
-    return min(roots) if roots else None
+    grid = np.linspace(1e-6 * lam, 2.0 * lam, DETERMINANT_SCAN_POINTS)
+    roots = _sign_changes(grid, [cleared_det(w) for w in grid])
+    return roots[0].polish(brentq, cleared_det, xtol=1e-14 * lam,
+                           rtol=8.9e-16) if roots else None
 
 
 def _fluctuation_log(sol: MeanFieldSolution, params: ModelParams,
@@ -357,53 +352,33 @@ def _coth_dlam(sol: MeanFieldSolution, params: ModelParams, T: float,
     return 0.0
 
 
-def _step_room(params: ModelParams, eta: str) -> tuple[float, float]:
-    """How far eta may move (down, up) before leaving the parameter domain.
+def _fd_stencil(f, f0, params: ModelParams, eta: str, h: float,
+                edge_h: float | None = None):
+    """(differences, width): d f/d eta = difference / width, f0 = f(0).
 
-    b is unconstrained: negative fields fold back canonically and every MF
+    ``f(step)`` is a tuple of quantities at eta + step.  Central stencil
+    when the domain allows, one-sided second order (step ``edge_h``, default
+    h) against a domain edge (the near-XXZ corner for v_x, v_y).  b is
+    unconstrained: negative fields fold back canonically and every MF
     quantity is even in b, so central differences through b = 0 are exact.
     """
-    if eta == "v_x":
-        return params.v_x - abs(params.v_y), math.inf
-    if eta == "v_y":
-        return params.v_x + params.v_y, params.v_x - params.v_y
-    return math.inf, math.inf
-
-
-def _fd_omega_zeta(sol: MeanFieldSolution, params: ModelParams, T: float,
-                   eta: str, h: float) -> tuple[float, float]:
-    """(domega/deta, dzeta/deta) from re-solving the mean field.
-
-    Central stencil when the domain allows, one-sided second order against a
-    domain edge (the near-XXZ corner for v_x, v_y).
-    """
-    def solved(step: float) -> MeanFieldSolution:
-        return solve_mean_field(
-            params.replace(**{eta: getattr(params, eta) + step}), T)
-
-    def omega_of(s: MeanFieldSolution) -> float:
-        if s.omega_sq <= 0:
-            raise DivergenceError("omega -> 0 inside the differentiation stencil")
-        return math.sqrt(s.omega_sq)
-
-    down, up = _step_room(params, eta)
+    # how far eta may move (down, up) before leaving the parameter domain
+    down, up = {"v_x": (params.v_x - abs(params.v_y), math.inf),
+                "v_y": (params.v_x + params.v_y, params.v_x - params.v_y),
+                }.get(eta, (math.inf, math.inf))
     if min(down, up) > 2.0 * h:
-        a, b = solved(h), solved(-h)
-        return ((omega_of(a) - omega_of(b)) / (2 * h),
-                (a.zeta - b.zeta) / (2 * h))
+        return [a - b for a, b in zip(f(h), f(-h))], 2 * h
     room = max(down, up)
     if room <= 0:
         raise DivergenceError(f"no room to differentiate along {eta} (XXZ edge)")
     sgn = 1.0 if up >= down else -1.0
-    hh = sgn * min(h, 0.25 * room)
-    a, b = solved(hh), solved(2 * hh)
-    dom = (4 * omega_of(a) - 3 * omega_of(sol) - omega_of(b)) / (2 * hh)
-    dze = (4 * a.zeta - 3 * sol.zeta - b.zeta) / (2 * hh)
-    return dom, dze
+    hh = sgn * min(h if edge_h is None else edge_h, 0.25 * room)
+    return [4 * a - 3 * a0 - b
+            for a, a0, b in zip(f(hh), f0, f(2 * hh))], 2 * hh
 
 
 def _delta_eta(sol: MeanFieldSolution, params: ModelParams, T: float,
-               eta: str, h_rel: float = 1e-5) -> float:
+               eta: str) -> float:
     """delta_eta = coth(bl/2) dlam/deta - coth(bw/2) domega/deta + T/(1-z) dzeta/deta.
 
     dlam is analytic (implicit differentiation of the gap equation); domega
@@ -424,7 +399,18 @@ def _delta_eta(sol: MeanFieldSolution, params: ModelParams, T: float,
         return 0.5 / (1.0 - sol.zeta)
     if sol.omega_sq <= 0:
         raise DivergenceError("omega -> 0: RPA corrections diverge")
-    domega, dzeta = _fd_omega_zeta(sol, params, T, eta, h_rel * params.v_x)
+
+    def at(step: float) -> tuple[float, float]:
+        s = solve_mean_field(
+            params.replace(**{eta: getattr(params, eta) + step}), T)
+        if s.omega_sq <= 0:
+            raise DivergenceError("omega -> 0 inside the differentiation stencil")
+        return math.sqrt(s.omega_sq), s.zeta
+
+    (d_omega, d_zeta), width = _fd_stencil(
+        at, (math.sqrt(sol.omega_sq), sol.zeta), params, eta,
+        _FD_STEP * params.v_x)
+    domega, dzeta = d_omega / width, d_zeta / width
     out = _coth_dlam(sol, params, T, eta)
     if T == 0:
         return out - domega  # coth -> 1 and zeta vanishes identically

@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 from .errors import DivergenceError
 from .meanfield import _is_xxz, critical_constants, solve_mean_field
 from .params import ModelParams
+from .roots import _sign_changes
 
 __all__ = [
     "DELTA_C",
@@ -105,18 +106,6 @@ def _zero_t_branch(p: ModelParams) -> _Branch:
     return _Branch(False, lam, math.sqrt(max(w2, 0.0)), lam - p.v_y, 0.0)
 
 
-def _thermal_branch(p: ModelParams, T: float) -> _Branch:
-    sol = solve_mean_field(p, T)
-    lam = sol.gap
-    if sol.phase == "symmetry_breaking":
-        x2 = lam * lam - (p.v_x * p.b / sol.constants.b_c) ** 2
-        return _Branch(True, lam, math.sqrt(sol.omega_sq),
-                       lam * (1.0 - sol.f[1]),
-                       lam / (x2 * (1.0 - sol.f[2])))
-    den = lam * (1.0 - sol.f[1]) if lam > 0.0 else 0.0
-    return _Branch(False, lam, math.sqrt(max(sol.omega_sq, 0.0)), den, 0.0)
-
-
 def _fac_plus(br: _Branch, T: float) -> float:
     if br.den <= 0.0:
         # XXZ degeneracy: omega/den diverges, except right at the critical
@@ -132,15 +121,13 @@ def _fac_minus(br: _Branch, T: float) -> float:
 
 
 def asymptotic_concurrence(params: ModelParams, T: float, b: float | None = None,
-                           *, thermal_gap: bool = False,
                            ) -> tuple[float, float | None]:
     """Large-n concurrence pair (C_+, C_-).
 
     C_pm = [1 - (omega/(lam - v_y))^{pm 1} coth(omega/2T)]/(n-1) - 2 e^{-lam/T},
     with lam and omega taken at their T = 0 values (the thermal shift of both
     is exponentially small wherever the result is positive) while the coth
-    factor keeps the full T dependence.  ``thermal_gap`` re-solves the mean
-    field at T instead, for comparison.
+    factor keeps the full T dependence.
 
     C_- is returned as None outside the symmetry-breaking branch, where only
     parallel entanglement exists.  At the XXZ point the antiparallel value
@@ -151,7 +138,7 @@ def asymptotic_concurrence(params: ModelParams, T: float, b: float | None = None
         raise ValueError("temperature must be nonnegative")
     if p.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
-    br = _thermal_branch(p, T) if thermal_gap else _zero_t_branch(p)
+    br = _zero_t_branch(p)
     tail = 2.0 * math.exp(-br.lam / T) if T > 0 else 0.0
     inv = 1.0 / (p.n - 1)
     c_plus = (1.0 - _fac_plus(br, T)) * inv - tail
@@ -270,12 +257,11 @@ def _termination_field(q: ModelParams, t: float, sol) -> float:
         return _sb_radicand(n, lam, btl, k2)
 
     grid = np.linspace(0.0, q.b, 400)
-    vals = [rad(x) for x in grid]
-    for i in range(len(grid) - 2, -1, -1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            return brentq(rad, grid[i], grid[i + 1],
-                          xtol=1e-15, rtol=8.9e-16)
-    return q.b  # unreachable: rad(0) > 0 and rad(q.b) < 0
+    falls = [c for c in _sign_changes(grid, [rad(x) for x in grid])
+             if c.before > 0]  # falls from a positive radicand
+    # rad(0) > 0 and rad(q.b) < 0, so q.b is only a roundoff guard
+    return (falls[-1].polish(brentq, rad, xtol=1e-15, rtol=8.9e-16)
+            if falls else q.b)
 
 
 def _full_normal(q: ModelParams, t: float, sol) -> FullConcurrence:
@@ -373,12 +359,10 @@ def _limit_t(br: _Branch, n: int, fac, seed: float | None) -> float | None:
     # oscillation fallback: D > 0 at T -> 0 guarantees a crossing below
     # lam/ln 2, so a coarse scan always brackets it
     grid = np.geomspace(1e-8 * lam, 2.0 * lam, 800)
-    vals = [g(x) for x in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] < 0.0 <= vals[i + 1]:
-            return brentq(g, grid[i], grid[i + 1],
-                          xtol=1e-15 * lam, rtol=8.9e-16)
-    return None
+    rises = [c for c in _sign_changes(grid, [g(x) for x in grid])
+             if c.before < 0]  # rises from a negative g
+    return (rises[0].polish(brentq, g, xtol=1e-15 * lam, rtol=8.9e-16)
+            if rises else None)
 
 
 def separable_window(params: ModelParams, T: float,
@@ -426,12 +410,11 @@ def separable_window(params: ModelParams, T: float,
     else:
         # k_up also vanishes at b_c itself; pick the crossing nearest b_s
         grid = np.linspace(b_s, hi, 4000)
-        vals = [k_up(x) for x in grid]
-        for i in range(len(grid) - 1):
-            if vals[i] >= 0.0 > vals[i + 1]:
-                upper = brentq(k_up, grid[i], grid[i + 1],
-                               xtol=1e-15 * pc.b_c, rtol=8.9e-16)
-                break
+        falls = [c for c in _sign_changes(grid, [k_up(x) for x in grid])
+                 if c.after < 0]  # falls to a negative k_up
+        if falls:
+            upper = falls[0].polish(brentq, k_up, xtol=1e-15 * pc.b_c,
+                                    rtol=8.9e-16)
     if upper is None:
         raise ValueError(
             "no self-consistent upper edge below b_c: T exceeds the"

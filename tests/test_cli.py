@@ -283,9 +283,9 @@ def test_json_nonfinite_becomes_null():
 
 def test_run_sweep_oracle_guard():
     p = ModelParams.from_chi(40, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        SweepSpec(method="oracle", params=p, temperature=0.1, axis="b",
-                  grid=(0.0, 1.0, 5, False), outputs=("C",))
+    with pytest.raises(ValueError, match="oracle"):
+        SweepSpec(method="oracle", params=p, temperature=0.1, axis="field",
+                  grid=(0.0, 0.5, 1.0), outputs=("C",))
 
 
 def test_main_returns_not_raises():

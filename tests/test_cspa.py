@@ -276,6 +276,21 @@ def test_one_axis_negative_y_against_oracle():
     assert abs(got - want) / abs(want) < 2e-3
 
 
+def test_deformed_alpha_at_the_domain_edge():
+    # v_y = -v_x is a valid edge: a central step would leave the domain, so
+    # alpha_y is one-sided.  Reference: second-order one-sided difference of
+    # the quadrature into the domain with step 1e-4.  rel 1e-4.
+    p = ModelParams(n=6, b=0.5, v_x=1.0, v_y=-1.0, v_z=0.0)
+    T, h = 1.0, 1e-4
+    res = cspa_result(p, T)
+    assert all(math.isfinite(getattr(res.corr, k))
+               for k in ("alpha_x", "alpha_y", "alpha_z", "sz"))
+    f0, f1, f2 = (cspa_log_partition(p.replace(v_y=p.v_y + k * h), T)
+                  for k in (0, 1, 2))
+    der = (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
+    assert math.isclose(res.corr.alpha_y, T * der / (p.n - 1), rel_tol=1e-4)
+
+
 # ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
 # every node) that the vectorized sweep replaced
 SCALAR_SWEEP_LN_Z = [
