@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from . import __version__
 from .cspa import cspa_result
 from .errors import BreakdownError, NumericalError
 from .exact import (concurrence, diagonalize, limit_temperatures,
-                    log_partition, pair_density, thermal_concurrence,
-                    thermal_observables)
+                    log_partition, pair_density, thermal_observables)
 from .meanfield import (critical_constants, log_partition_mfrpa,
                         mfrpa_observables, solve_mean_field)
 from .oracle import (MAX_ORACLE_N, oracle_concurrence, oracle_log_partition,
@@ -30,7 +30,6 @@ from .params import ModelParams
 from .rpa import (asymptotic_concurrence, factorizing_field, full_concurrence,
                   limit_temperature_rpa)
 
-METHODS = ("exact", "oracle", "mfrpa_full", "mfrpa_asymptotic", "cspa")
 SWEEPS = ("field", "temperature", "phasemap")
 FORMATS = ("csv", "json")
 DEFAULT_OUTPUTS = ("C", "nC", "C_plus", "C_minus")
@@ -38,6 +37,9 @@ KNOWN_OUTPUTS = ("C", "nC", "C_plus", "C_minus", "alpha_x", "alpha_y",
                  "alpha_z", "sz", "lnZ", "omega", "lambda",
                  "T_L_plus", "T_L_minus")
 PHASEMAP_COLUMNS = ("T_L_plus", "T_L_minus", "T_c")
+_CONC = frozenset(("C", "nC", "C_plus", "C_minus"))
+_CORR = frozenset(("alpha_x", "alpha_y", "alpha_z", "sz"))
+_LIMITS = frozenset(("T_L_plus", "T_L_minus"))
 
 # config-file keys mirror the long flags; argparse dests differ where the
 # flag name is a Python keyword or a builtin
@@ -49,32 +51,6 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: a method, fixed parameters, and the swept axis."""
-
-    method: str
-    params: ModelParams
-    temperature: float
-    axis: str  # "field" | "temperature"
-    grid: tuple[float, ...]
-    outputs: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.axis not in ("field", "temperature"):
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        if len(self.grid) < 2:
-            raise ValueError("a sweep needs at least 2 points")
-        if self.method == "oracle" and self.params.n > MAX_ORACLE_N:
-            raise ValueError(
-                f"oracle method is dense: n <= {MAX_ORACLE_N} required")
-        bad = set(self.outputs) - set(KNOWN_OUTPUTS)
-        if bad:
-            raise ValueError(f"unknown outputs: {sorted(bad)}")
-
-
 @dataclass
 class ResultRow:
     axis_value: float
@@ -82,153 +58,210 @@ class ResultRow:
     flags: list
 
 
-def _report_to_values(rep, n: int) -> dict:
-    return {"C": rep.c, "nC": n * rep.c, "C_plus": rep.c_plus,
-            "C_minus": rep.c_minus}
+# ---------------------------------------------------------------------------
+# per-method evaluators: each fills ``row`` with the outputs in ``need`` at
+# one (params, T) in place, so values and flags gathered before a failure
+# stay on the row
 
 
-def _pm_to_values(c_plus, c_minus, n: int) -> dict:
-    cs = [c for c in (c_plus, c_minus) if c is not None]
-    c = max(0.0, *cs) if cs else 0.0
-    return {"C": c, "nC": n * c, "C_plus": c_plus, "C_minus": c_minus}
+def _pair_values(row: ResultRow, rep, n: int) -> None:
+    row.values.update({"C": rep.c, "nC": n * rep.c, "C_plus": rep.c_plus,
+                       "C_minus": rep.c_minus})
 
 
-def _corr_values(corr) -> dict:
-    return {"alpha_x": corr.alpha_x, "alpha_y": corr.alpha_y,
-            "alpha_z": corr.alpha_z, "sz": corr.sz}
+def _pm_values(row: ResultRow, c_plus, c_minus, n: int) -> None:
+    c = max([0.0] + [c for c in (c_plus, c_minus) if c is not None])
+    row.values.update({"C": c, "nC": n * c, "C_plus": c_plus,
+                       "C_minus": c_minus})
 
 
-def _limit_values(method: str, params: ModelParams) -> dict:
-    if method in ("exact", "oracle"):
-        lt = limit_temperatures(params)
-        return {"T_L_plus": lt.t_plus, "T_L_minus": lt.t_minus}
-    tp, tm = limit_temperature_rpa(params)
-    return {"T_L_plus": tp, "T_L_minus": tm}
+def _corr_values(row: ResultRow, corr) -> None:
+    row.values.update({"alpha_x": corr.alpha_x, "alpha_y": corr.alpha_y,
+                       "alpha_z": corr.alpha_z, "sz": corr.sz})
 
 
-def _eval_point(method: str, params: ModelParams, T: float,
-                outputs: tuple[str, ...], strict: bool = False) -> ResultRow:
-    """All requested outputs at one (params, T) point, failures as flags.
+def _from_correlators(row: ResultRow, corr, n: int, need) -> None:
+    if need & _CONC:
+        _pair_values(row, concurrence(pair_density(corr, n)), n)
+    if need & _CORR:
+        _corr_values(row, corr)
 
-    ``strict`` re-raises numerical failures instead of flagging them: sweep
-    rows degrade softly, a single-point evaluation is a hard error.
+
+def _exact(params: ModelParams, T: float, need, row: ResultRow) -> None:
+    spectra = diagonalize(params)
+    if need & (_CONC | _CORR):
+        _from_correlators(row, thermal_observables(spectra, T), params.n, need)
+    if "lnZ" in need:
+        row.values["lnZ"] = log_partition(spectra, T)
+
+
+def _oracle(params: ModelParams, T: float, need, row: ResultRow) -> None:
+    # the dense reference solves once per output group, as its functions do
+    if need & _CONC:
+        _pair_values(row, oracle_concurrence(params, T), params.n)
+    if need & _CORR:
+        _corr_values(row, oracle_observables(params, T))
+    if "lnZ" in need:
+        row.values["lnZ"] = oracle_log_partition(params, T)
+
+
+def _mean_field(params: ModelParams, T: float, row: ResultRow):
+    sol = solve_mean_field(params, T)
+    row.flags.append("phase=sb" if sol.phase == "symmetry_breaking"
+                     else "phase=normal")
+    return sol
+
+
+def _modes(sol, need, row: ResultRow) -> None:
+    if "omega" in need:
+        row.values["omega"] = sol.omega
+    if "lambda" in need:
+        row.values["lambda"] = sol.gap
+
+
+def _mfrpa_full(params: ModelParams, T: float, need, row: ResultRow) -> None:
+    sol = _mean_field(params, T, row)
+    if need & _CONC:
+        full = full_concurrence(params, T)
+        if full.complex_terminated:
+            row.flags.append("complex_termination")
+        _pm_values(row, full.c_plus, full.c_minus, params.n)
+    if need & _CORR:
+        _corr_values(row, mfrpa_observables(params, T))
+    if "lnZ" in need:
+        row.values["lnZ"] = log_partition_mfrpa(params, T)
+    _modes(sol, need, row)
+
+
+def _mfrpa_asymptotic(params: ModelParams, T: float, need,
+                      row: ResultRow) -> None:
+    sol = _mean_field(params, T, row)
+    if need & _CONC:
+        _pm_values(row, *asymptotic_concurrence(params, T), params.n)
+    _modes(sol, need, row)
+
+
+def _cspa(params: ModelParams, T: float, need, row: ResultRow) -> None:
+    res = cspa_result(params, T)
+    _from_correlators(row, res.corr, params.n, need)
+    if "lnZ" in need:
+        row.values["lnZ"] = res.ln_z
+
+
+# limit-temperature sources, called through this module's globals so that a
+# wrapper put on the library name also sees the CLI's calls
+def _block_limits(params: ModelParams):
+    lt = limit_temperatures(params)
+    return lt.t_plus, lt.t_minus
+
+
+def _rpa_limits(params: ModelParams):
+    return limit_temperature_rpa(params)
+
+
+class _Method(NamedTuple):
+    evaluate: Callable  # (params, T, need, row) -> None
+    limits: Callable    # params -> (T_L_plus, T_L_minus)
+    phasemap: bool      # whether a phase map may run on it
+
+
+_METHODS = {
+    "exact": _Method(_exact, _block_limits, phasemap=True),
+    "oracle": _Method(_oracle, _block_limits, phasemap=False),
+    "mfrpa_full": _Method(_mfrpa_full, _rpa_limits, phasemap=False),
+    "mfrpa_asymptotic": _Method(_mfrpa_asymptotic, _rpa_limits,
+                                phasemap=True),
+    "cspa": _Method(_cspa, _rpa_limits, phasemap=False),
+}
+METHODS = tuple(_METHODS)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One job: a method, fixed parameters, and the axis it runs along.
+
+    ``axis`` is ``"point"`` (one row at ``grid = (params.b,)``; a numerical
+    failure raises), ``"field"`` or ``"temperature"`` (one row per grid
+    value; a failure flags its row) or ``"phasemap"`` (T_L+- and T_c per
+    field value; ``outputs`` are checked but not used).
     """
-    need = set(outputs)
-    values: dict = {}
-    flags: list = []
-    conc = need & {"C", "nC", "C_plus", "C_minus"}
-    corr_keys = need & {"alpha_x", "alpha_y", "alpha_z", "sz"}
-    limit_keys = need & {"T_L_plus", "T_L_minus"}
-    n = params.n
-    try:
-        if method == "exact":
-            spectra = diagonalize(params)
-            if conc or corr_keys:
-                obs = thermal_observables(spectra, T)
-            if conc:
-                values.update(_report_to_values(
-                    concurrence(pair_density(obs, n)), n))
-            if corr_keys:
-                values.update(_corr_values(obs))
-            if "lnZ" in need:
-                values["lnZ"] = log_partition(spectra, T)
-        elif method == "oracle":
-            if conc:
-                values.update(_report_to_values(oracle_concurrence(params, T), n))
-            if corr_keys:
-                values.update(_corr_values(oracle_observables(params, T)))
-            if "lnZ" in need:
-                values["lnZ"] = oracle_log_partition(params, T)
-        elif method == "mfrpa_full":
-            sol = solve_mean_field(params, T)
-            flags.append("phase=sb" if sol.phase == "symmetry_breaking"
-                         else "phase=normal")
-            if conc:
-                full = full_concurrence(params, T)
-                if full.complex_terminated:
-                    flags.append("complex_termination")
-                values.update(_pm_to_values(full.c_plus, full.c_minus, n))
-            if corr_keys:
-                values.update(_corr_values(mfrpa_observables(params, T)))
-            if "lnZ" in need:
-                values["lnZ"] = log_partition_mfrpa(params, T)
-            if "omega" in need:
-                values["omega"] = sol.omega
-            if "lambda" in need:
-                values["lambda"] = sol.gap
-        elif method == "mfrpa_asymptotic":
-            sol = solve_mean_field(params, T)
-            flags.append("phase=sb" if sol.phase == "symmetry_breaking"
-                         else "phase=normal")
-            if conc:
-                cp, cm = asymptotic_concurrence(params, T)
-                values.update(_pm_to_values(cp, cm, n))
-            if "omega" in need:
-                values["omega"] = sol.omega
-            if "lambda" in need:
-                values["lambda"] = sol.gap
-        else:  # cspa
-            res = cspa_result(params, T)
-            if conc:
-                values.update(_report_to_values(
-                    concurrence(pair_density(res.corr, n)), n))
-            if corr_keys:
-                values.update(_corr_values(res.corr))
-            if "lnZ" in need:
-                values["lnZ"] = res.ln_z
-        if limit_keys:
-            values.update(_limit_values(method, params))
-    except BreakdownError:
-        if strict:
-            raise
-        flags.append("breakdown")
-    except (NumericalError, ValueError) as exc:
-        if strict:
-            raise
-        flags.append(f"error:{type(exc).__name__}")
 
-    failed = any(f == "breakdown" or f.startswith("error:") for f in flags)
-    for name in outputs:
-        v = values.setdefault(name, None)
-        if v is None:
-            if not failed:
-                flags.append(f"missing:{name}")
-        elif not math.isfinite(v):
-            flags.append(f"nonfinite:{name}")
-    return ResultRow(axis_value=float("nan"), values=values, flags=flags)
+    method: str
+    params: ModelParams
+    temperature: float
+    axis: str
+    grid: tuple[float, ...]
+    outputs: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.axis != "point" and self.axis not in SWEEPS:
+            raise ValueError(f"unknown sweep axis {self.axis!r}")
+        if self.method == "oracle" and self.params.n > MAX_ORACLE_N:
+            raise ValueError(
+                f"oracle method is dense: n <= {MAX_ORACLE_N} required")
+        bad = set(self.outputs) - set(KNOWN_OUTPUTS)
+        if bad:
+            raise ValueError(f"unknown outputs: {sorted(bad)}")
+        if not self.outputs:
+            raise ValueError("empty outputs list")
+        if self.axis == "point":
+            if len(self.grid) != 1:
+                raise ValueError("a single point needs exactly 1 grid value")
+        elif len(self.grid) < 2:
+            raise ValueError("a sweep needs at least 2 points")
+        if self.axis == "phasemap" and not _METHODS[self.method].phasemap:
+            raise ValueError(
+                "phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Evaluate the sweep; per-point failures become row flags, not aborts."""
+    """One ``ResultRow`` per grid value of ``spec``.
+
+    A breakdown, numerical failure or invalid state becomes a row flag
+    (``breakdown``, ``error:<Type>``) except on a ``"point"`` spec, which
+    re-raises it.  Point and sweep rows also flag each requested output that
+    came back empty (``missing:``, unless the row failed) or non-finite
+    (``nonfinite:``); phase-map rows always carry T_c and no such flags.
+    """
+    method = _METHODS[spec.method]
+    phasemap = spec.axis == "phasemap"
+    if phasemap:
+        t_c = critical_constants(spec.params).critical_temperature
+    need = set(spec.outputs)
     rows = []
     for val in spec.grid:
-        if spec.axis == "field":
-            p, T = spec.params.with_field(val), spec.temperature
-        else:
+        val = float(val)
+        if spec.axis == "temperature":
             p, T = spec.params, val
-        row = _eval_point(spec.method, p, T, spec.outputs)
-        row.axis_value = float(val)
-        rows.append(row)
-    return rows
-
-
-def run_phase_map(params: ModelParams, b_grid, method: str) -> list:
-    """Limit temperatures per field value, with T_c(b) alongside."""
-    if method not in ("exact", "mfrpa_asymptotic"):
-        raise ValueError(
-            "phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
-    pc = critical_constants(params)
-    rows = []
-    for b in b_grid:
-        p = params.with_field(float(b))
-        values = {"T_L_plus": None, "T_L_minus": None,
-                  "T_c": pc.critical_temperature(float(b))}
-        flags: list = []
+        else:
+            p, T = spec.params.with_field(val), spec.temperature
+        row = ResultRow(axis_value=val, values={}, flags=[])
+        if phasemap:
+            row.values = {"T_L_plus": None, "T_L_minus": None, "T_c": t_c(val)}
+        failed = False
         try:
-            values.update(_limit_values(method, p))
+            if not phasemap:
+                method.evaluate(p, T, need, row)
+            if phasemap or need & _LIMITS:
+                row.values["T_L_plus"], row.values["T_L_minus"] = (
+                    method.limits(p))
         except (NumericalError, ValueError) as exc:
-            flags.append(f"error:{type(exc).__name__}")
-        rows.append(ResultRow(axis_value=float(b), values=values, flags=flags))
+            if spec.axis == "point":
+                raise
+            row.flags.append("breakdown" if isinstance(exc, BreakdownError)
+                             else f"error:{type(exc).__name__}")
+            failed = True
+        if not phasemap:
+            for name in spec.outputs:
+                v = row.values.setdefault(name, None)
+                if v is None:
+                    if not failed:
+                        row.flags.append(f"missing:{name}")
+                elif not math.isfinite(v):
+                    row.flags.append(f"nonfinite:{name}")
+        rows.append(row)
     return rows
 
 
@@ -312,20 +345,11 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-@dataclass
-class _Job:
-    mode: str  # "point" | "field" | "temperature" | "phasemap"
-    method: str
-    params: ModelParams
-    temperature: float
-    grid: tuple
-    outputs: tuple
-    fmt: str
-    out: str | None
-    grid_meta: dict | None
+def _build_job(args, parser: argparse.ArgumentParser):
+    """((spec, format, grid metadata), output path) from flags and config.
 
-
-def _build_job(args, parser: argparse.ArgumentParser) -> _Job:
+    Every rejected argument exits 2 through ``parser.error``.
+    """
     cfg = {}
     if args.config is not None:
         try:
@@ -358,6 +382,24 @@ def _build_job(args, parser: argparse.ArgumentParser) -> _Job:
             parser.error("config sets both vy and chi")
     if vy is None and chi is None:
         parser.error("one of --vy/--chi is required (flag or config)")
+    temperature = float(pick("T", 0.0))
+    if temperature < 0:
+        parser.error("--T must be nonnegative")
+    fmt = pick("format", "csv")
+    if fmt not in FORMATS:
+        parser.error(f"unknown format {fmt!r}")
+    raw = pick("outputs")
+    if raw is None:
+        outputs = DEFAULT_OUTPUTS
+    elif isinstance(raw, str):
+        outputs = tuple(s.strip() for s in raw.split(",") if s.strip())
+    else:
+        outputs = tuple(raw)
+
+    sweep = pick("sweep")
+    if sweep is not None and sweep not in SWEEPS:
+        parser.error(f"unknown sweep {sweep!r}")
+    grid_meta = None
     try:
         if chi is not None:
             params = ModelParams.from_chi(n=int(n), b=float(b),
@@ -366,78 +408,47 @@ def _build_job(args, parser: argparse.ArgumentParser) -> _Job:
         else:
             params = ModelParams(n=int(n), b=float(b), v_x=float(vx),
                                  v_y=float(vy), v_z=float(vz))
+        if sweep is None:
+            sweep, grid = "point", (params.b,)
+        else:
+            start, stop = pick("from"), pick("to")
+            if start is None or stop is None:
+                parser.error("--from and --to are required for a sweep")
+            points = int(pick("points", 50))
+            geometric = bool(pick("geometric", False))
+            if geometric and (start <= 0 or stop <= 0):
+                parser.error("geometric spacing needs positive --from/--to")
+            grid = tuple(float(g) for g in (
+                np.geomspace if geometric else np.linspace)(
+                    float(start), float(stop), points))
+            grid_meta = {"from": float(start), "to": float(stop),
+                         "points": points,
+                         "spacing": "geometric" if geometric else "linear"}
+        spec = SweepSpec(method=pick("method", "exact"), params=params,
+                         temperature=temperature, axis=sweep, grid=grid,
+                         outputs=outputs)
     except ValueError as exc:
         parser.error(str(exc))
-
-    method = pick("method", "exact")
-    if method not in METHODS:
-        parser.error(f"unknown method {method!r}")
-    if method == "oracle" and params.n > MAX_ORACLE_N:
-        parser.error(f"oracle method is dense: n <= {MAX_ORACLE_N} required")
-    temperature = float(pick("T", 0.0))
-    if temperature < 0:
-        parser.error("--T must be nonnegative")
-    fmt = pick("format", "csv")
-    if fmt not in FORMATS:
-        parser.error(f"unknown format {fmt!r}")
-    out = pick("out")
-
-    raw = pick("outputs")
-    if raw is None:
-        outputs = DEFAULT_OUTPUTS
-    else:
-        if isinstance(raw, str):
-            outputs = tuple(s.strip() for s in raw.split(",") if s.strip())
-        else:
-            outputs = tuple(raw)
-        bad = set(outputs) - set(KNOWN_OUTPUTS)
-        if bad:
-            parser.error(f"unknown outputs: {sorted(bad)}")
-        if not outputs:
-            parser.error("empty outputs list")
-
-    sweep = pick("sweep")
-    if sweep is None:
-        return _Job("point", method, params, temperature, (params.b,),
-                    outputs, fmt, out, None)
-    if sweep not in SWEEPS:
-        parser.error(f"unknown sweep {sweep!r}")
-    start, stop = pick("from"), pick("to")
-    if start is None or stop is None:
-        parser.error("--from and --to are required for a sweep")
-    points = int(pick("points", 50))
-    geometric = bool(pick("geometric", False))
-    if points < 2:
-        parser.error("a sweep needs --points >= 2")
-    if geometric and (start <= 0 or stop <= 0):
-        parser.error("geometric spacing needs positive --from/--to")
-    grid = (np.geomspace if geometric else np.linspace)(float(start),
-                                                        float(stop), points)
-    grid_meta = {"from": float(start), "to": float(stop), "points": points,
-                 "spacing": "geometric" if geometric else "linear"}
-    if sweep == "phasemap" and method not in ("exact", "mfrpa_asymptotic"):
-        parser.error("phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
-    return _Job(sweep, method, params, temperature, tuple(float(g) for g in grid),
-                outputs, fmt, out, grid_meta)
+    return (spec, fmt, grid_meta), pick("out")
 
 
-def _metadata(job: _Job) -> dict:
-    p = job.params
+def _metadata(spec: SweepSpec, grid_meta: dict | None) -> dict:
+    p = spec.params
     chi = p.chi
+    phasemap = spec.axis == "phasemap"
     meta = {
         "package": "fcspin",
         "version": __version__,
-        "method": job.method,
-        "mode": job.mode,
+        "method": spec.method,
+        "mode": spec.axis,
         "params": {"n": p.n, "b": p.b, "v_x": p.v_x, "v_y": p.v_y,
                    "v_z": p.v_z, "chi": None if math.isnan(chi) else chi},
-        "T": job.temperature,
+        "T": spec.temperature,
         "unit_convention": f"energies in units of v_x = {p.v_x!r}",
-        "grid": job.grid_meta,
-        "outputs": list(job.outputs if job.mode != "phasemap"
-                        else PHASEMAP_COLUMNS),
+        "grid": grid_meta,
+        "outputs": list(PHASEMAP_COLUMNS if phasemap else spec.outputs),
     }
-    if job.mode == "phasemap":
+    if phasemap:
         pc = critical_constants(p)
         ff = factorizing_field(p)
         meta["b_c"] = pc.b_c
@@ -446,35 +457,23 @@ def _metadata(job: _Job) -> dict:
     return meta
 
 
-def _run_job(job: _Job) -> str:
-    if job.mode == "phasemap":
-        rows = run_phase_map(job.params, job.grid, job.method)
-        axis, columns = "b", PHASEMAP_COLUMNS
-    elif job.mode == "point":
-        row = _eval_point(job.method, job.params, job.temperature,
-                          job.outputs, strict=True)
-        row.axis_value = job.params.b
-        rows, axis, columns = [row], "b", job.outputs
-    else:
-        spec = SweepSpec(method=job.method, params=job.params,
-                         temperature=job.temperature, axis=job.mode,
-                         grid=job.grid, outputs=job.outputs)
-        rows = run_sweep(spec)
-        axis = "b" if job.mode == "field" else "T"
-        columns = job.outputs
-    if job.fmt == "csv":
+def _run_job(job) -> str:
+    spec, fmt, grid_meta = job
+    rows = run_sweep(spec)
+    axis = "T" if spec.axis == "temperature" else "b"
+    columns = PHASEMAP_COLUMNS if spec.axis == "phasemap" else spec.outputs
+    if fmt == "csv":
         return emit_csv(axis, columns, rows)
-    return emit_json(_metadata(job), axis, columns, rows)
+    return emit_json(_metadata(spec, grid_meta), axis, columns, rows)
 
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    job = _build_job(args, parser)
+    job, out = _build_job(parser.parse_args(argv), parser)
     try:
         text = _run_job(job)
-        if job.out:
-            with open(job.out, "w", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -59,10 +59,10 @@ _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _SERIES_Q = 1e-2
 # the two other axes of each axis, in the cyclic order of omega^2
 _OTHERS = ((1, 2), (2, 0), (0, 1))
-# relative steps of the differences of ln Z on a deformed axis: central, and
-# one-sided at v_y = -v_x, longer since that stencil amplifies ln Z noise more
-_FD_STEP = 1e-5
-_FD_EDGE_STEP = 1e-3
+# relative step of the differences of ln Z on a deformed axis, central or
+# one-sided at v_y = -v_x: the curvature stencil of the sweep leaves ~1e-10
+# relative noise in ln Z, which a shorter step amplifies past 1e-5 in alpha
+_DEFORMED_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -588,6 +588,6 @@ def _alpha_deformed(params: ModelParams, T: float, cfg: CspaConfig,
     scale = min(params.v_x, 0.5 * abs(v))
     at = lambda step: (cspa_log_partition(
         params.replace(**{name: v + step}), T, cfg),)
-    (diff,), width = _fd_stencil(at, (ln_z,), params, name, _FD_STEP * scale,
-                                 edge_h=_FD_EDGE_STEP * scale)
+    (diff,), width = _fd_stencil(at, (ln_z,), params, name,
+                                 _DEFORMED_STEP * scale)
     return T / (params.n - 1) * diff / width

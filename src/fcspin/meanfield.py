@@ -352,13 +352,12 @@ def _coth_dlam(sol: MeanFieldSolution, params: ModelParams, T: float,
     return 0.0
 
 
-def _fd_stencil(f, f0, params: ModelParams, eta: str, h: float,
-                edge_h: float | None = None):
+def _fd_stencil(f, f0, params: ModelParams, eta: str, h: float):
     """(differences, width): d f/d eta = difference / width, f0 = f(0).
 
     ``f(step)`` is a tuple of quantities at eta + step.  Central stencil
-    when the domain allows, one-sided second order (step ``edge_h``, default
-    h) against a domain edge (the near-XXZ corner for v_x, v_y).  b is
+    when the domain allows, one-sided second order against a domain edge
+    (the near-XXZ corner for v_x, v_y).  b is
     unconstrained: negative fields fold back canonically and every MF
     quantity is even in b, so central differences through b = 0 are exact.
     """
@@ -372,7 +371,7 @@ def _fd_stencil(f, f0, params: ModelParams, eta: str, h: float,
     if room <= 0:
         raise DivergenceError(f"no room to differentiate along {eta} (XXZ edge)")
     sgn = 1.0 if up >= down else -1.0
-    hh = sgn * min(h if edge_h is None else edge_h, 0.25 * room)
+    hh = sgn * min(h, 0.25 * room)
     return [4 * a - 3 * a0 - b
             for a, a0, b in zip(f(hh), f0, f(2 * hh))], 2 * hh
 

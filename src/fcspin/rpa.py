@@ -404,21 +404,16 @@ def separable_window(params: ModelParams, T: float,
         return 1.0 - (bq / pc.b_c) ** 2 - one_chi / bracket(bq) ** 2
 
     hi = pc.b_c * (1.0 - 1e-9)
-    upper = None
-    if k_up(hi) < 0.0:
-        upper = brentq(k_up, b_s, hi, xtol=1e-15 * pc.b_c, rtol=8.9e-16)
-    else:
-        # k_up also vanishes at b_c itself; pick the crossing nearest b_s
-        grid = np.linspace(b_s, hi, 4000)
-        falls = [c for c in _sign_changes(grid, [k_up(x) for x in grid])
-                 if c.after < 0]  # falls to a negative k_up
-        if falls:
-            upper = falls[0].polish(brentq, k_up, xtol=1e-15 * pc.b_c,
-                                    rtol=8.9e-16)
-    if upper is None:
+    # k_up also vanishes at b_c itself.  With s = 1 - (b/b_c)^2,
+    # a = beta sqrt(c2)/2, t = a sqrt(s) and A = (1-chi)(1-u)^2 a^2,
+    # k_up = s [1 - A (tanh t / t)^2].  tanh t / t decreases strictly, so
+    # k_up/s increases strictly with s: k_up(hi) >= 0 means k_up > 0 on all
+    # of [b_s, hi), and no grid scan below b_c can find a falling crossing
+    if k_up(hi) >= 0.0:
         raise ValueError(
             "no self-consistent upper edge below b_c: T exceeds the"
             " critical-field limit temperature")
+    upper = brentq(k_up, b_s, hi, xtol=1e-15 * pc.b_c, rtol=8.9e-16)
     lower = None
     if k_lo(0.0) >= 0.0:  # otherwise the window has swallowed b = 0
         lower = brentq(k_lo, 0.0, b_s, xtol=1e-15 * pc.b_c, rtol=8.9e-16)

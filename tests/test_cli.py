@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 
 import fcspin.cli
-from fcspin import ModelParams, thermal_concurrence
-from fcspin.cli import ResultRow, SweepSpec, emit_csv, emit_json, main, run_sweep
+from fcspin import (ModelParams, asymptotic_concurrence, concurrence,
+                    cspa_result, diagonalize, full_concurrence,
+                    limit_temperature_rpa, limit_temperatures, log_partition,
+                    log_partition_mfrpa, mfrpa_observables,
+                    oracle_concurrence, oracle_log_partition,
+                    oracle_observables, pair_density, solve_mean_field,
+                    thermal_concurrence, thermal_observables)
+from fcspin.cli import (KNOWN_OUTPUTS, METHODS, ResultRow, SweepSpec,
+                        emit_csv, emit_json, main, run_sweep)
 
 
 # the child process imports the same fcspin as this one, installed or not
@@ -112,6 +119,104 @@ def test_single_point_matches_library():
     want = thermal_concurrence(p, 0.1).c
     assert math.isclose(float(vals[1]), want, rel_tol=1e-12)
     assert math.isclose(float(vals[2]), 10 * want, rel_tol=1e-12)
+
+
+def _library_row(method: str, p: ModelParams, T: float):
+    """Every output and the documented flags, from direct library calls."""
+    n = p.n
+    flags = []
+    if method in ("exact", "oracle", "cspa"):
+        if method == "exact":
+            spectra = diagonalize(p)
+            corr = thermal_observables(spectra, T)
+            rep = concurrence(pair_density(corr, n))
+            ln_z = log_partition(spectra, T)
+        elif method == "oracle":
+            rep = oracle_concurrence(p, T)
+            corr = oracle_observables(p, T)
+            ln_z = oracle_log_partition(p, T)
+        else:
+            res = cspa_result(p, T)
+            corr, ln_z = res.corr, res.ln_z
+            rep = concurrence(pair_density(corr, n))
+        c, c_plus, c_minus = rep.c, rep.c_plus, rep.c_minus
+        values = {"lnZ": ln_z}
+    else:
+        sol = solve_mean_field(p, T)
+        flags.append("phase=sb" if sol.phase == "symmetry_breaking"
+                     else "phase=normal")
+        values = {"omega": sol.omega, "lambda": sol.gap}
+        corr = None
+        if method == "mfrpa_full":
+            full = full_concurrence(p, T)
+            if full.complex_terminated:
+                flags.append("complex_termination")
+            c_plus, c_minus = full.c_plus, full.c_minus
+            corr = mfrpa_observables(p, T)
+            values["lnZ"] = log_partition_mfrpa(p, T)
+        else:  # no correlators and no ln Z
+            c_plus, c_minus = asymptotic_concurrence(p, T)
+        c = max([0.0] + [x for x in (c_plus, c_minus) if x is not None])
+    values.update({"C": c, "nC": n * c, "C_plus": c_plus, "C_minus": c_minus})
+    if corr is not None:
+        values.update({"alpha_x": corr.alpha_x, "alpha_y": corr.alpha_y,
+                       "alpha_z": corr.alpha_z, "sz": corr.sz})
+    if method in ("exact", "oracle"):  # the block solver's limits
+        lt = limit_temperatures(p)
+        values["T_L_plus"], values["T_L_minus"] = lt.t_plus, lt.t_minus
+    else:  # the MF+RPA estimate
+        values["T_L_plus"], values["T_L_minus"] = limit_temperature_rpa(p)
+    for name in KNOWN_OUTPUTS:
+        v = values.get(name)
+        if v is None:
+            flags.append(f"missing:{name}")
+        elif not math.isfinite(v):
+            flags.append(f"nonfinite:{name}")
+    return values, flags
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_output_matches_the_library(method, capsys):
+    base = ["--n", "8", "--chi", "0.5", "--method", method,
+            "--outputs", ",".join(KNOWN_OUTPUTS)]
+    runs = [
+        (["--T", "0.3", "--sweep", "field", "--from", "0.2", "--to", "1.8",
+          "--points", "3"], "b"),
+        (["--b", "0.6", "--sweep", "temperature", "--from", "0.15",
+          "--to", "1.0", "--points", "3"], "T"),
+        (["--b", "0.4", "--T", "0.3"], "b"),
+    ]
+    p0 = ModelParams.from_chi(8, 0.6, 0.5)
+    for args, axis in runs:
+        assert main(base + args) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == ",".join([axis, *KNOWN_OUTPUTS, "flags"])
+        assert len(lines) == (1 if "--sweep" not in args else 3)
+        for line in lines:
+            cells = line.split(",")
+            x = float(cells[0])
+            p, T = (p0, x) if axis == "T" else (p0.with_field(x), 0.3)
+            values, flags = _library_row(method, p, T)
+            want = ["" if values.get(k) is None else repr(values[k])
+                    for k in KNOWN_OUTPUTS]
+            assert cells[1:-1] == want, (args, x)
+            assert cells[-1] == ";".join(flags), (args, x)
+
+
+@pytest.mark.parametrize("method", ["exact", "mfrpa_asymptotic"])
+def test_phase_map_rows_always_carry_t_c_and_no_gap_flags(method):
+    p = ModelParams.from_chi(60, 0.0, 0.5)
+    grid = tuple(float(b) for b in np.linspace(0.0, 2.5, 11))
+    rows = run_sweep(SweepSpec(method=method, params=p, temperature=0.0,
+                               axis="phasemap", grid=grid, outputs=("C",)))
+    assert [r.axis_value for r in rows] == list(grid)
+    assert any(r.values["T_L_plus"] is None or r.values["T_L_minus"] is None
+               for r in rows)
+    for r in rows:
+        assert set(r.values) == {"T_L_plus", "T_L_minus", "T_c"}
+        assert isinstance(r.values["T_c"], float)
+        assert not any(f.startswith(("missing:", "nonfinite:"))
+                       for f in r.flags)
 
 
 def test_sweep_reruns_are_byte_identical():
@@ -286,6 +391,23 @@ def test_run_sweep_oracle_guard():
     with pytest.raises(ValueError, match="oracle"):
         SweepSpec(method="oracle", params=p, temperature=0.1, axis="field",
                   grid=(0.0, 0.5, 1.0), outputs=("C",))
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"method": "bogus"}, "unknown method"),
+    ({"axis": "b"}, "unknown sweep axis"),
+    ({"outputs": ("C", "bogus")}, "unknown outputs"),
+    ({"outputs": ()}, "empty outputs"),
+    ({"grid": (0.5,)}, "at least 2 points"),
+    ({"axis": "point"}, "exactly 1 grid value"),
+    ({"axis": "phasemap", "method": "cspa"}, "phasemap supports"),
+])
+def test_sweep_spec_rejects(changes, match):
+    kw = dict(method="exact", params=ModelParams.from_chi(8, 0.1, 0.5),
+              temperature=0.1, axis="field", grid=(0.0, 0.5, 1.0),
+              outputs=("C",))
+    with pytest.raises(ValueError, match=match):
+        SweepSpec(**{**kw, **changes})
 
 
 def test_main_returns_not_raises():

@@ -291,6 +291,22 @@ def test_deformed_alpha_at_the_domain_edge():
     assert math.isclose(res.corr.alpha_y, T * der / (p.n - 1), rel_tol=1e-4)
 
 
+@pytest.mark.parametrize("n, b, v_y, T", [
+    (6, 0.5, -0.9, 1.0), (8, 0.3, -0.5, 1.2), (5, 1.0, -0.2, 0.9),
+    (7, 0.0, -0.3, 1.1),
+])
+def test_deformed_alpha_inside_the_domain(n, b, v_y, T):
+    # the deformed-axis ln Z carries ~1e-10 relative noise in v_y, so the
+    # reference is a central difference with a step well above it: 3e-3 of
+    # min(v_x, |v_y|/2).  rel 5e-5
+    p = ModelParams(n=n, b=b, v_x=1.0, v_y=v_y, v_z=0.0)
+    h = 3e-3 * min(p.v_x, 0.5 * abs(v_y))
+    up, down = (cspa_log_partition(p.replace(v_y=v_y + s), T)
+                for s in (h, -h))
+    want = T * (up - down) / (2.0 * h) / (n - 1)
+    assert math.isclose(cspa_result(p, T).corr.alpha_y, want, rel_tol=5e-5)
+
+
 # ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
 # every node) that the vectorized sweep replaced
 SCALAR_SWEEP_LN_Z = [

@@ -11,6 +11,7 @@ import fcspin.exact
 import fcspin.rpa
 from fcspin import (
     ModelParams,
+    critical_constants,
     full_concurrence,
     limit_temperature_rpa,
     limit_temperatures,
@@ -156,7 +157,39 @@ def test_separable_window_grid_branch_golden(monkeypatch):
     sizes = _spy(monkeypatch, fcspin.rpa)
     with pytest.raises(ValueError, match="no self-consistent upper edge"):
         separable_window(ModelParams.from_chi(10, 0.0, 0.8), 0.3)
-    assert sizes == [4000]
+    assert sizes == []
+
+
+def test_separable_window_upper_edge_against_a_dense_scan():
+    # the window raises exactly when the closed-form k_up has no sign change
+    # on a 20 000-point grid over [b_s, b_c (1 - 1e-9)]; where it returns,
+    # its upper edge lies in that scan's bracket
+    rng = np.random.default_rng(11)
+    raised = returned = 0
+    for _ in range(200):
+        n = int(rng.integers(5, 301))
+        chi, T = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.5))
+        p = ModelParams.from_chi(n, 0.0, chi)
+        u = 2.0 * (n - 1) * math.exp(-p.v_x / T)
+        if u >= 1.0:
+            continue  # outside the window form, a different refusal
+        b_c = critical_constants(p).b_c
+        c2 = (p.v_x - p.v_y) * (p.v_x - p.v_z)
+        grid = np.linspace(b_c * math.sqrt(chi), b_c * (1.0 - 1e-9), 20_000)
+        s = 1.0 - (grid / b_c) ** 2
+        k = s - (1.0 - chi) * (np.tanh(0.5 * np.sqrt(s * c2) / T)
+                               * (1.0 - u)) ** 2
+        brackets = np.flatnonzero(k[:-1] * k[1:] <= 0.0)
+        if len(brackets) == 0:
+            with pytest.raises(ValueError, match="no self-consistent upper"):
+                separable_window(p, T)
+            raised += 1
+        else:
+            i = brackets[0]
+            _, upper = separable_window(p, T)
+            assert grid[i] <= upper <= grid[i + 1]
+            returned += 1
+    assert raised >= 10 and returned >= 10
 
 
 @pytest.mark.parametrize("n, b, chi, T, r, want", [
