@@ -51,6 +51,30 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_int(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and v.is_integer())
+
+
+def _is_float(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+# value check per config key; keys not listed take a string
+_CONFIG_TYPES = {
+    "n": _is_int, "points": _is_int,
+    **dict.fromkeys(("b", "vx", "vy", "vz", "chi", "T", "from", "to"),
+                    _is_float),
+    "geometric": lambda v: isinstance(v, bool),
+    "outputs": lambda v: _is_str(v) or (isinstance(v, list)
+                                        and all(map(_is_str, v))),
+}
+
+
 @dataclass
 class ResultRow:
     axis_value: float
@@ -357,9 +381,14 @@ def _build_job(args, parser: argparse.ArgumentParser):
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error("config must be a JSON object")
         unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
+        for key, v in cfg.items():
+            if not _CONFIG_TYPES.get(key, _is_str)(v):
+                parser.error(f"config {key!r} has the wrong type: {v!r}")
 
     def pick(flag: str, default=None):
         v = getattr(args, _CONFIG_KEYS[flag])

@@ -26,8 +26,7 @@ from scipy.optimize import brentq
 from .errors import InvalidStateError
 from .params import ModelParams
 from .roots import _sign_changes
-from .spin_algebra import (TridiagonalBlock, build_block, parity_split,
-                           sector_spins)
+from .spin_algebra import build_block, parity_split, sector_spins
 
 __all__ = [
     "SectorSpectrum",
@@ -60,6 +59,8 @@ BOLTZMANN_CUT = 50.0
 
 LIMIT_SCAN_POINTS = 400  # temperatures scanned by limit_temperatures
 
+_SCAN_CHUNK = 16  # temperatures per chunk of Spectra._thermal_moments
+
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
     if len(diag) == 1:
@@ -67,18 +68,31 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
     return eigh_tridiagonal(diag, off, lapack_driver="stemr")
 
 
-def _lowest_level_bound(sub: TridiagonalBlock) -> float:
-    """Gershgorin lower bound on the lowest level of a parity sub-block.
+def _lowest_level_bounds(subs, start: np.ndarray) -> np.ndarray:
+    """Gershgorin lower bound on the lowest level of each parity sub-block.
 
     Widened by the solver's backward error (dim * eps * norm), so that it
-    also bounds the computed lowest level.
+    also bounds the computed lowest level.  The sub-blocks are laid end to
+    end as in the flat level arrays (``start`` holds their offsets) and
+    reduced segment by segment.
     """
-    radius = np.zeros(sub.dim)
-    radius[:-1] += np.abs(sub.off)
-    radius[1:] += np.abs(sub.off)
-    norm = float(np.max(np.abs(sub.diag) + radius))
-    eps = np.finfo(float).eps
-    return float(np.min(sub.diag - radius)) - sub.dim * eps * norm
+    # every array here runs over all levels: work in place where possible
+    diag = np.concatenate([s.diag for s in subs])
+    # |off| to the next level of the same sub-block (0 across a seam), then
+    # plus |off| to the previous one
+    radius = np.zeros(len(diag))
+    inner = np.ones(len(diag), dtype=bool)
+    inner[start[1:] - 1] = False
+    off = np.concatenate([s.off for s in subs])
+    radius[inner] = np.abs(off, out=off)
+    del off
+    radius[1:] += radius[:-1]
+    norm = np.abs(diag)
+    norm += radius
+    norm = np.maximum.reduceat(norm, start[:-1])
+    low = np.minimum.reduceat(np.subtract(diag, radius, out=radius),
+                              start[:-1])
+    return low - np.diff(start) * np.finfo(float).eps * norm
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -140,7 +154,7 @@ class Spectra:
         dims = np.array([s.dim for s in subs])
         self._start = np.concatenate([[0], np.cumsum(dims)])
         # lowest level of each sub-block: the bound until solved, then exact
-        self._low = np.array([_lowest_level_bound(s) for s in subs])
+        self._low = _lowest_level_bounds(subs, self._start)
         self._solved = np.zeros(len(subs), dtype=bool)
         self._complete = False
         size = int(self._start[-1])
@@ -194,6 +208,63 @@ class Spectra:
             top = max(top, self._best(T, j))
         if self._solved.all():
             self._freeze()
+
+    def _solve_window_chunk(self, t: np.ndarray) -> np.ndarray:
+        """``_solve_window`` at every positive T of t at once; the tops.
+
+        A fixed point over the sub-blocks' bounds: each round solves every
+        unsolved sub-block that comes within the cut of the solved top at
+        some T, until none does.  Returns that top, the largest log-weight
+        of a level, at each T.
+        """
+        while True:
+            best = self._sub_log_mult[:, None] - self._low[:, None] / t
+            if not self._solved.any():  # start from the best bound
+                self._solve(int(best[:, 0].argmax()))
+                continue
+            top = np.where(self._solved[:, None], best, -np.inf).max(axis=0)
+            reach = ~self._solved[:, None] & (best >= top - self._cut)
+            todo = np.flatnonzero(reach.any(axis=1))
+            if not len(todo):
+                return top
+            for j in todo:
+                self._solve(j)
+            if self._solved.all():
+                self._freeze()
+
+    def _thermal_moments(self, temps) -> np.ndarray:
+        """Weighted moments (m2x, m2y, m2z, m1z), one column per positive T.
+
+        The batched twin of ``_weights``: temperatures go in chunks of
+        ``_SCAN_CHUNK``, and each column keeps its own top and zeroes the
+        levels more than the cut below it, so it depends on (params, T)
+        alone and matches ``thermal_observables`` to rounding.
+        """
+        temps = np.asarray(temps, dtype=float)
+        if not np.all(temps > 0):
+            raise ValueError("batched temperatures must be positive")
+        return np.hstack([self._chunk_moments(temps[i:i + _SCAN_CHUNK])
+                          for i in range(0, len(temps), _SCAN_CHUNK)])
+
+    def _chunk_moments(self, t: np.ndarray) -> np.ndarray:
+        """``_thermal_moments`` for one chunk of temperatures."""
+        top = self._solve_window_chunk(t)
+        # ln Y - E/T is linear in 1/T, so a level peaks over the chunk at its
+        # coldest or hottest T; the slack of 1 absorbs rounding
+        e, lm = self._energy, self.log_mult
+        peak = np.maximum(lm - e / t.min(), lm - e / t.max())
+        idx = np.flatnonzero(peak >= top.min() - self._cut - 1.0)
+        # log-weights, one row per T, each less its own top
+        a = np.divide(e.take(idx), t[:, None])
+        np.subtract(lm.take(idx), a, out=a)
+        a -= a.max(axis=1, keepdims=True)
+        drop = a < -self._cut
+        w = np.exp(a, out=a)
+        w[drop] = 0.0
+        # one matrix-vector product per moment: a matrix product would make
+        # resident BLAS level-3 code and buffers that nothing else here uses
+        return np.array([w @ m.take(idx) for m in self._moments]
+                        ) / w.sum(axis=1)
 
     def _freeze(self) -> None:
         self._complete = True
@@ -516,6 +587,27 @@ def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
     return _signed_concurrences(pd)
 
 
+def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
+    """Signed (C_+, C_-) at every positive T of grid, one row each.
+
+    The batched twin of ``_signed_c_of_t``; values agree with it to
+    rounding.
+    """
+    n = spectra.params.n
+    m2x, m2y, m2z, m1z = spectra._thermal_moments(grid)
+    denom = n * (n - 1)
+    pd = pair_density(Correlators(
+        alpha_x=(m2x - 0.25 * n) / denom, alpha_y=(m2y - 0.25 * n) / denom,
+        alpha_z=(m2z - 0.25 * n) / denom, sz=m1z / n), n)
+    rad = pd.p_plus * pd.p_minus
+    if rad.min() < -1e-10:
+        raise InvalidStateError(
+            f"p_+ p_- = {rad.min()} < 0: sz exceeds the compatible range")
+    return np.column_stack([
+        2.0 * (np.abs(pd.alpha_plus) - pd.p_zero),
+        2.0 * (np.abs(pd.alpha_minus) - np.sqrt(np.maximum(rad, 0.0)))])
+
+
 def limit_temperatures(params: ModelParams, b: float | None = None, *,
                        t_max: float = 2.0) -> LimitTemperatures:
     """All temperature intervals where C_+ > 0 and where C_- > 0.
@@ -525,6 +617,8 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
     field, where a narrow reentrant antiparallel window can hide between
     grid points) and polishes every sign change to 1e-5 v_x; a node where
     C_pm is exactly 0 is itself an interval end (``roots._sign_changes``).
+    The grid is tabulated in one batched pass (``_signed_c_on_grid``); only
+    the bracket polish and the T = 0 value evaluate point by point.
     An interval starting at the bottom of the window is extended to T = 0
     when the ground-manifold concurrence is itself positive.
     """
@@ -541,7 +635,7 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
             grid = np.unique(np.concatenate([grid, extra]))
 
     c0 = _signed_c_of_t(spectra, 0.0)
-    vals = np.array([_signed_c_of_t(spectra, t) for t in grid])
+    vals = _signed_c_on_grid(spectra, grid)
     xtol = 1e-5 * vx
 
     out = []

@@ -363,6 +363,30 @@ def test_config_rejects_vy_chi_conflict(tmp_path):
     assert code == 2
 
 
+_SWEEP = {"sweep": "field", "from": 0.1, "to": 1.0, "points": 3}
+
+
+@pytest.mark.parametrize("bad", [
+    {"T": "warm"},
+    {**_SWEEP, "from": "a", "geometric": True},
+    {"n": [8]},
+    {"outputs": 5},
+    {"n": 8.7},
+    {**_SWEEP, "points": 4.5},
+    {"n": True},
+    {"chi": "0.5"},
+    {"outputs": ["C", 5]},
+], ids=lambda d: ",".join(f"{k}={v!r}" for k, v in d.items()
+                         if k not in _SWEEP or _SWEEP[k] != v))
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"n": 8, "chi": 0.5, **bad}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "wrong type" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # emitters as a library
 

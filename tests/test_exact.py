@@ -32,7 +32,8 @@ from fcspin import (
     thermal_concurrence,
     thermal_observables,
 )
-from fcspin.exact import GROUND_DEGENERACY_RTOL, _lowest_level_bound
+from fcspin.exact import (GROUND_DEGENERACY_RTOL, _signed_c_of_t,
+                          _signed_c_on_grid)
 from tests.conftest import draw_params, draw_temperature
 
 ATOL = 1e-9
@@ -306,19 +307,83 @@ def test_window_solves_few_sectors_when_cold():
     assert 0 < sp._solved.sum() < 0.2 * len(sp._solved)
 
 
+def _block_bound(sub) -> float:
+    """Per-block statement of the Gershgorin bound the spectra vectorize."""
+    radius = np.zeros(sub.dim)
+    radius[:-1] += np.abs(sub.off)
+    radius[1:] += np.abs(sub.off)
+    norm = float(np.max(np.abs(sub.diag) + radius))
+    eps = np.finfo(float).eps
+    return float(np.min(sub.diag - radius)) - sub.dim * eps * norm
+
+
+def _sub_blocks(p):
+    return [sub for ts in sector_spins(p.n)
+            for sub in parity_split(build_block(p, ts)).blocks]
+
+
 def test_level_bound_is_below_the_lowest_level():
     rng = np.random.default_rng(59)
     for n in (1, 2, 5, 40, 201):
         for _ in range(3):
             p = draw_params(rng, n)
-            sp = diagonalize(p)
-            for ts, sec in zip(sector_spins(n), sp.sectors):
-                for sub in parity_split(build_block(p, ts)).blocks:
-                    solved = sec.energy[sec.parity == sub.parity]
-                    lowest = (sub.diag[0] if sub.dim == 1 else
-                              eigvalsh_tridiagonal(sub.diag, sub.off)[0])
-                    bound = _lowest_level_bound(sub)
-                    assert bound <= solved[0] and bound <= lowest
+            sp = Spectra(p)
+            bounds = sp._low.copy()  # before any solve
+            for j, sub in enumerate(_sub_blocks(p)):
+                solved = sp.energy[sp._start[j]]  # lowest level of block j
+                lowest = (sub.diag[0] if sub.dim == 1 else
+                          eigvalsh_tridiagonal(sub.diag, sub.off)[0])
+                assert bounds[j] <= solved and bounds[j] <= lowest
+
+
+def test_level_bounds_equal_the_per_block_formula():
+    # the segmented reductions reproduce the per-block formula bitwise
+    rng = np.random.default_rng(61)
+    draws = [ModelParams(n=n, b=0.0, v_x=1.0, v_y=-0.7, v_z=-0.4)
+             for n in (1, 2, 3, 10)]
+    draws += [draw_params(rng, int(n)) for n in rng.integers(1, 301, 12)]
+    draws += [d.with_field(0.0) for d in draws[-4:]]
+    for p in draws:
+        want = [_block_bound(sub) for sub in _sub_blocks(p)]
+        assert Spectra(p)._low.tolist() == want, p
+
+
+def _batch_draws():
+    rng = np.random.default_rng(67)
+    for n, top in ((2, 3.0), (7, 0.1), (60, 3.0), (151, 3.0), (151, 0.1),
+                   (400, 0.1)):
+        p = draw_params(rng, n)
+        yield p, top
+        yield p.with_field(0.0), top
+    yield ModelParams(n=90, b=0.4, v_x=1.0, v_y=-0.6, v_z=-0.3), 3.0
+
+
+@pytest.mark.parametrize("p, top", list(_batch_draws()),
+                         ids=lambda v: (f"n{v.n}-b{v.b:.2f}"
+                                        if isinstance(v, ModelParams)
+                                        else f"to{v}"))
+def test_batched_scan_matches_the_scalar_path(p, top):
+    # a grid ending at 0.1 v_x leaves the spectrum incomplete
+    grid = np.geomspace(1e-3, top, 45) * p.v_x
+    n, denom = p.n, p.n * (p.n - 1)
+    sp, scalar = Spectra(p), Spectra(p)
+    m2x, m2y, m2z, m1z = sp._thermal_moments(grid)
+    signed = _signed_c_on_grid(sp, grid)
+    if n >= 60 and top < 1.0:
+        assert not sp._solved.all()
+    for i, T in enumerate(grid):
+        want = thermal_observables(scalar, T)
+        got = ((m2x[i] - 0.25 * n) / denom, (m2y[i] - 0.25 * n) / denom,
+               (m2z[i] - 0.25 * n) / denom, m1z[i] / n)
+        for f, g in zip(("alpha_x", "alpha_y", "alpha_z", "sz"), got):
+            assert abs(g - getattr(want, f)) <= 1e-13, (T, f)
+        c = np.array(_signed_c_of_t(scalar, T))
+        big = np.abs(c) > 1e-10
+        assert np.array_equal(np.sign(signed[i][big]), np.sign(c[big])), T
+    # the batch leaves the scalar path as a fresh spectrum has it
+    for T in (0.0, grid[7], 0.5 * top * p.v_x, 2.0 * top * p.v_x):
+        assert thermal_observables(sp, T) == thermal_observables(Spectra(p),
+                                                                 T), T
 
 
 def test_results_do_not_depend_on_earlier_temperatures():

@@ -244,6 +244,10 @@ def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
                          for k in (0, 1))
 
         monkeypatch.setattr(fcspin.exact, "_signed_c_of_t", signed)
+        monkeypatch.setattr(
+            fcspin.exact, "_signed_c_on_grid",
+            lambda spectra, ts, signed=signed: np.array(
+                [signed(spectra, t) for t in ts]))
         got = limit_temperatures(p)
         for k, ivs in enumerate((got.plus, got.minus)):
             f = lambda t, k=k: signed(None, t)[k]
