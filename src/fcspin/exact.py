@@ -26,7 +26,8 @@ from scipy.optimize import brentq
 from .errors import InvalidStateError
 from .params import ModelParams
 from .roots import _sign_changes
-from .spin_algebra import build_block, parity_split, sector_spins
+from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
+                           sector_spins, sub_block_elements)
 
 __all__ = [
     "SectorSpectrum",
@@ -61,6 +62,9 @@ LIMIT_SCAN_POINTS = 400  # temperatures scanned by limit_temperatures
 
 _SCAN_CHUNK = 16  # temperatures per chunk of Spectra._thermal_moments
 
+# levels per chunk of the sub-block build, which bounds its temporaries
+_BUILD_CHUNK = 1 << 18
+
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
     if len(diag) == 1:
@@ -68,24 +72,18 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
     return eigh_tridiagonal(diag, off, lapack_driver="stemr")
 
 
-def _lowest_level_bounds(subs, start: np.ndarray) -> np.ndarray:
+def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
+                         start: np.ndarray) -> np.ndarray:
     """Gershgorin lower bound on the lowest level of each parity sub-block.
 
     Widened by the solver's backward error (dim * eps * norm), so that it
     also bounds the computed lowest level.  The sub-blocks are laid end to
-    end as in the flat level arrays (``start`` holds their offsets) and
-    reduced segment by segment.
+    end (``start`` holds their offsets), ``off`` is 0 at the last level of
+    each, and the arrays are reduced segment by segment.
     """
-    # every array here runs over all levels: work in place where possible
-    diag = np.concatenate([s.diag for s in subs])
-    # |off| to the next level of the same sub-block (0 across a seam), then
-    # plus |off| to the previous one
-    radius = np.zeros(len(diag))
-    inner = np.ones(len(diag), dtype=bool)
-    inner[start[1:] - 1] = False
-    off = np.concatenate([s.off for s in subs])
-    radius[inner] = np.abs(off, out=off)
-    del off
+    # |off| to the next level of the same sub-block, plus |off| to the
+    # previous one
+    radius = np.abs(off)
     radius[1:] += radius[:-1]
     norm = np.abs(diag)
     norm += radius
@@ -127,37 +125,54 @@ class SectorSpectrum:
 class Spectra:
     """Parity-resolved spectrum of a parameter set, solved on demand.
 
-    Construction builds every (S, parity) sub-block and a lower bound on its
-    lowest level; it solves none.  A thermal evaluation at T solves only the
-    sub-blocks that can hold a level inside the Boltzmann window (see
-    ``BOLTZMANN_CUT``) and keeps them for later temperatures.  Levels outside
-    the window weigh exactly 0, so a result depends on (params, T) alone, not
-    on the temperatures evaluated before.  The flat per-level arrays run over
-    the sectors in ``sector_spins`` order, each laid out as in
-    ``SectorSpectrum``; they, ``sectors`` and ``ground_energy`` keep their
-    full-spectrum meaning.  Every array handed out is read-only.
+    Construction builds the elements of every (S, parity) sub-block in one
+    vectorized pass, laid end to end like the level arrays, and a lower
+    bound on each sub-block's lowest level; it solves none.  A thermal
+    evaluation at T solves only the sub-blocks that can hold a level inside
+    the Boltzmann window (see ``BOLTZMANN_CUT``) and keeps them for later
+    temperatures.  Levels outside the window weigh exactly 0, so a result
+    depends on (params, T) alone, not on the temperatures evaluated before.
+    The flat per-level arrays run over the sectors in ``sector_spins``
+    order, each laid out as in ``SectorSpectrum``; they, ``sectors`` and
+    ``ground_energy`` keep their full-spectrum meaning.  Every array handed
+    out is read-only.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        subs, self._sector_subs, self._multiplicity = [], [0], []
-        for ts in sector_spins(params.n):
-            split = parity_split(build_block(params, ts))
-            subs.extend(split.blocks)
-            self._sector_subs.append(len(subs))
-            self._multiplicity.append(split.multiplicity)
-        self._subs = tuple(subs)
-        counts = np.diff(self._sector_subs)
-        self._sub_two_s = np.repeat(sector_spins(params.n), counts)
-        self._sub_log_mult = np.repeat(
-            [math.log(y) for y in self._multiplicity], counts)
-        dims = np.array([s.dim for s in subs])
+        n = params.n
+        # the n + 1 sub-blocks (2S, first kept M index): both halves of each
+        # sector, but 2S = 0 has no odd half
+        self._sub_two_s = np.repeat(sector_spins(n), 2)[:n + 1]
+        self._sub_first = np.arange(n + 1) % 2
+        dims = (self._sub_two_s - self._sub_first) // 2 + 1
+        self._multiplicity = sector_multiplicities(n)
+        log_y = np.array([math.log(y) for y in self._multiplicity])
+        self._sub_log_mult = log_y[(n - self._sub_two_s) // 2]  # by sector
         self._start = np.concatenate([[0], np.cumsum(dims)])
-        # lowest level of each sub-block: the bound until solved, then exact
-        self._low = _lowest_level_bounds(subs, self._start)
-        self._solved = np.zeros(len(subs), dtype=bool)
-        self._complete = False
         size = int(self._start[-1])
+        # sub-block j is diag/plus2[start[j]:start[j+1]] (see
+        # sub_block_elements), built in chunks of whole sub-blocks to bound
+        # the temporaries; plus2 rather than the off-diagonal is kept because
+        # the moments need it and the off-diagonal is one product away
+        self._off_scale = off_diagonal_scale(params)
+        self._diag, self._plus2 = np.empty(size), np.empty(size)
+        edges = np.unique(np.append(np.searchsorted(
+            self._start, np.arange(0, size, _BUILD_CHUNK)), len(dims)))
+        low = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            lo, hi = self._start[a], self._start[b]
+            m, x, plus2 = sub_block_elements(params, self._sub_two_s[a:b],
+                                             self._sub_first[a:b])
+            diag = np.multiply(params.b, m, out=m)
+            diag -= x
+            self._diag[lo:hi], self._plus2[lo:hi] = diag, plus2
+            low.append(_lowest_level_bounds(
+                diag, self._off_scale * plus2, self._start[a:b + 1] - lo))
+        # lowest level of each sub-block: the bound until solved, then exact
+        self._low = np.concatenate(low)
+        self._solved = np.zeros(len(dims), dtype=bool)
+        self._complete = False
         self._cut = BOLTZMANN_CUT + math.log(size)
         self.log_mult = _read_only(np.repeat(self._sub_log_mult, dims))
         # unsolved levels carry infinite energy (zero weight), zero moments
@@ -165,16 +180,16 @@ class Spectra:
         self._moments = np.zeros((4, size))  # m2x, m2y, m2z, m1z
 
     def _solve(self, j: int) -> None:
-        sub = self._subs[j]
-        w, v = _solve_tridiagonal(sub.diag, sub.off)
+        lo, hi = self._start[j], self._start[j + 1]
+        plus2 = self._plus2[lo:hi - 1]
+        w, v = _solve_tridiagonal(self._diag[lo:hi], self._off_scale * plus2)
         p = v * v
-        m = sub.m_values
+        s = self._sub_two_s[j] / 2.0
+        m = np.arange(self._sub_first[j] - s, s + 1.0, 2.0)  # M, exact
         mz2 = (m * m) @ p
         # <S_+^2 + S_-^2> = 2 sum_j c_j v_j v_{j+1} for real eigenvectors
-        pp = 2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1 else 0.0
-        s = self._sub_two_s[j] / 2.0
+        pp = 2.0 * (plus2 @ (v[:-1] * v[1:])) if hi - lo > 1 else 0.0
         half = 0.5 * (s * (s + 1.0) - mz2)
-        lo, hi = self._start[j], self._start[j + 1]
         self._energy[lo:hi] = w
         self._moments[:, lo:hi] = (half + 0.25 * pp, half - 0.25 * pp, mz2,
                                    m @ p)
@@ -328,21 +343,21 @@ class Spectra:
 
     @cached_property
     def parity(self) -> np.ndarray:
-        return _read_only(np.repeat([s.parity for s in self._subs],
-                                    np.diff(self._start)))
+        # |S,M_j> has parity (-1)^((n - 2S)/2 + j)
+        odd = ((self.params.n - self._sub_two_s) // 2 + self._sub_first) % 2
+        return _read_only(np.repeat(1 - 2 * odd, np.diff(self._start)))
 
     @cached_property
     def k_index(self) -> np.ndarray:
-        return _read_only(np.concatenate([np.arange(s.dim)
-                                          for s in self._subs]))
+        return _read_only(np.arange(self._start[-1]) - np.repeat(
+            self._start[:-1], np.diff(self._start)))
 
     @cached_property
     def sectors(self) -> tuple[SectorSpectrum, ...]:
         self._solve_all()
-        out = []
+        out, hi = [], 0
         for i, ts in enumerate(sector_spins(self.params.n)):
-            lo = self._start[self._sector_subs[i]]
-            hi = self._start[self._sector_subs[i + 1]]
+            lo, hi = hi, hi + ts + 1
             out.append(SectorSpectrum(
                 two_s=ts, multiplicity=self._multiplicity[i],
                 parity=self.parity[lo:hi], k_index=self.k_index[lo:hi],
@@ -587,6 +602,15 @@ def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
     return _signed_concurrences(pd)
 
 
+def _signed_c_component(T: float, spectra: Spectra, comp: int) -> float:
+    """C_+ (comp 0) or C_- (comp 1) at T, for ``brentq(..., args=...)``.
+
+    Not a closure over the spectrum: ``brentq`` holds its callable in a
+    reference cycle, which would keep the spectrum alive until a GC run.
+    """
+    return _signed_c_of_t(spectra, T)[comp]
+
+
 def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
     """Signed (C_+, C_-) at every positive T of grid, one row each.
 
@@ -640,11 +664,11 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
 
     out = []
     for comp in (0, 1):
-        f = lambda t, _c=comp: _signed_c_of_t(spectra, t)[_c]
+        args = (spectra, comp)
         # alternating starts and ends of the positive runs
         edges = [float(grid[0])] if vals[0, comp] > 0 else []
         for c in _sign_changes(grid, vals[:, comp]):
-            x = c.polish(brentq, f, xtol=xtol)
+            x = c.polish(brentq, _signed_c_component, xtol=xtol, args=args)
             edges += [x] * ((c.before > 0) + (c.after > 0))
         if len(edges) % 2:
             edges.append(float(grid[-1]))
@@ -655,7 +679,8 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
                 ivs[0] = (0.0, ivs[0][1])
             elif vals[0, comp] <= 0:
                 try:  # positive sliver below the scan window
-                    root = brentq(f, 1e-9 * vx, grid[0], xtol=xtol)
+                    root = brentq(_signed_c_component, 1e-9 * vx, grid[0],
+                                  xtol=xtol, args=args)
                     ivs.insert(0, (0.0, float(root)))
                 except ValueError:
                     pass
@@ -680,18 +705,22 @@ def spectrum_low(spectra: Spectra, count: int) -> list[tuple[int, int, int, floa
     return rows
 
 
-def _parity_gap(params: ModelParams, b: float) -> float:
-    """E0(even) - E0(odd) within the maximum-spin sector at field b."""
-    block = build_block(params.with_field(b), params.n)
-    lows = {}
-    for sub in parity_split(block).blocks:
-        if sub.dim == 1:
-            lows[sub.parity] = float(sub.diag[0])
+def _parity_gap(b: float, halves) -> float:
+    """E0(even) - E0(odd) of the maximum-spin sector at field b.
+
+    ``halves`` holds (m, x, off) of its even and odd parity sub-blocks.
+    """
+    b = -b if b < 0 else b  # the field fold of ModelParams
+    lows = []
+    for m, x, off in halves:
+        diag = b * m - x
+        if len(diag) == 1:
+            lows.append(float(diag[0]))
         else:
-            w = eigh_tridiagonal(sub.diag, sub.off, eigvals_only=True,
+            w = eigh_tridiagonal(diag, off, eigvals_only=True,
                                  select="i", select_range=(0, 0))
-            lows[sub.parity] = float(w[0])
-    return lows[1] - lows[-1]
+            lows.append(float(w[0]))
+    return lows[0] - lows[1]
 
 
 def parity_transitions(params: ModelParams,
@@ -704,6 +733,8 @@ def parity_transitions(params: ModelParams,
     the even-odd gap on max(400, 24 n) fields and refines each sign change
     to 1e-12 b_c; a field where the gap is exactly 0, common at large n where
     it sits at roundoff, is itself a crossing (``roots._sign_changes``).
+    Only the diagonals' b M term depends on the field, so the sub-blocks'
+    other elements are built once.
     """
     d = params.v_x - params.v_z
     chi = params.chi
@@ -712,6 +743,11 @@ def parity_transitions(params: ModelParams,
     b_c = d
     lo, hi = b_range if b_range is not None else (1e-9 * b_c, b_c * (1 - 1e-9))
     grid = np.linspace(lo, hi, max(400, 24 * params.n))
-    gap = lambda b: _parity_gap(params, b)
+    m, x, plus2 = sub_block_elements(params, params.n, [0, 1])
+    off = off_diagonal_scale(params) * plus2
+    cut = params.n // 2 + 1  # levels of the even half
+    halves = ((m[:cut], x[:cut], off[:cut - 1]),
+              (m[cut:], x[cut:], off[cut:-1]))
+    gap = lambda b: _parity_gap(b, halves)
     return [c.polish(brentq, gap, xtol=1e-12 * b_c)
             for c in _sign_changes(grid, [gap(b) for b in grid])]

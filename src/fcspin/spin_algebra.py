@@ -27,6 +27,11 @@ __all__ = [
     "ParityBlocks",
     "build_block",
     "parity_split",
+    "sector_multiplicities",
+    "coupling_diagonal",
+    "ladder2",
+    "off_diagonal_scale",
+    "sub_block_elements",
 ]
 
 
@@ -50,6 +55,21 @@ def multiplicity(n: int, two_s: int) -> int:
     k = _sector_k(n, two_s)
     y = math.comb(n, k) - (math.comb(n, k - 1) if k >= 1 else 0)
     return y
+
+
+def sector_multiplicities(n: int) -> list[int]:
+    """Y(S) of every sector in ``sector_spins`` order (exact integers).
+
+    Runs the recurrence C(n, k) = C(n, k-1) (n-k+1) / k over k = n/2 - S
+    instead of two binomials per sector; ``multiplicity`` is the reference.
+    """
+    out, prev, c = [], 0, 1
+    for k in range(n // 2 + 1):
+        if k:
+            c = c * (n - k + 1) // k
+        out.append(c - prev)
+        prev = c
+    return out
 
 
 def log_multiplicity(n: int, two_s: int) -> float:
@@ -118,15 +138,52 @@ class ParityBlocks:
     blocks: tuple[TridiagonalBlock, ...]
 
 
-def _ladder2(two_s: int) -> np.ndarray:
-    """<S,M+2|S_+^2|S,M> for M = -S .. S-2, from the standard ladder elements."""
-    dim = two_s + 1
-    if dim < 3:
-        return np.zeros(0)
-    two_m = np.arange(dim - 2) * 2 - two_s
-    s, m = two_s / 2.0, two_m / 2.0
+def coupling_diagonal(params: ModelParams, two_s, m) -> np.ndarray:
+    """The field-free part X of <S,M|H|S,M>, so that the diagonal is b M - X.
+
+    X = (1/n)[(v_x+v_y)/2 (S(S+1) - M^2) + v_z M^2 - (n/4)(v_x+v_y+v_z)],
+    elementwise over broadcast arrays of 2S and M.
+    """
+    n = params.n
+    vx, vy, vz = params.v_x, params.v_y, params.v_z
+    s = np.divide(two_s, 2.0)
+    casimir = s * (s + 1)
+    return (0.5 * (vx + vy) * (casimir - m * m) + vz * m * m
+            - 0.25 * n * (vx + vy + vz)) / n
+
+
+def ladder2(two_s, m) -> np.ndarray:
+    """<S,M+2|S_+^2|S,M>, elementwise over broadcast arrays of 2S and M.
+
+    Exactly 0 (up to sign) at M = S-1 and M = S, where M+2 leaves the sector.
+    """
+    s = np.divide(two_s, 2.0)
     c = (s - m) * (s + m + 1) * (s - m - 1) * (s + m + 2)
     return np.sqrt(c)
+
+
+def off_diagonal_scale(params: ModelParams) -> float:
+    """-(v_x - v_y)/(4n): the block couples M to M+2 by this times ``ladder2``."""
+    return -(params.v_x - params.v_y) / (4.0 * params.n)
+
+
+def sub_block_elements(params: ModelParams, two_s, first):
+    """Field-free elements of parity sub-blocks (2S, first), laid end to end.
+
+    Sub-block (2S, first) holds the levels M = -S + j, j = first, first + 2,
+    ... <= 2S (``first`` is 0 or 1; 2S and first broadcast).  Returns
+    per-level (m, x, plus2): the diagonal is b m - x, and plus2[i] is the
+    ``ladder2`` element to the next level of the sub-block (0 at its last
+    level), so the off-diagonal is ``off_diagonal_scale(params) * plus2``.
+    The entries equal those of ``parity_split(build_block(...))`` bitwise.
+    """
+    two_s, first = np.broadcast_arrays(np.atleast_1d(two_s), first)
+    dims = (two_s - first) // 2 + 1
+    ts = np.repeat(two_s, dims)
+    # level k of sub-block (2S, first) has M = -S + first + 2k
+    k = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
+    m = (4 * k + np.repeat(2 * first - two_s, dims)) / 2.0
+    return m, coupling_diagonal(params, ts, m), ladder2(ts, m)
 
 
 def build_block(params: ModelParams, two_s: int) -> SpinBlock:
@@ -137,19 +194,12 @@ def build_block(params: ModelParams, two_s: int) -> SpinBlock:
     -(v_x-v_y)/(4n) <M+2|S_+^2|M>.  Real symmetric by construction.
     """
     n = params.n
-    k = _sector_k(n, two_s)  # validates the (n, 2S) pairing
-    dim = two_s + 1
-    s = two_s / 2.0
-    m = (np.arange(dim) * 2 - two_s) / 2.0
-    vx, vy, vz = params.v_x, params.v_y, params.v_z
-    casimir = s * (s + 1)
-    diag = params.b * m - (
-        0.5 * (vx + vy) * (casimir - m * m) + vz * m * m
-        - 0.25 * n * (vx + vy + vz)
-    ) / n
-    ladder2 = _ladder2(two_s)
-    off2 = -(vx - vy) / (4.0 * n) * ladder2
-    return SpinBlock(n=n, two_s=two_s, diag=diag, off2=off2, ladder2=ladder2,
+    _sector_k(n, two_s)  # validates the (n, 2S) pairing
+    m = (np.arange(two_s + 1) * 2 - two_s) / 2.0
+    diag = params.b * m - coupling_diagonal(params, two_s, m)
+    plus2 = ladder2(two_s, m[:-2])  # M = -S .. S-2
+    off2 = off_diagonal_scale(params) * plus2
+    return SpinBlock(n=n, two_s=two_s, diag=diag, off2=off2, ladder2=plus2,
                      multiplicity=multiplicity(n, two_s))
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from fcspin import (
@@ -21,6 +24,7 @@ from fcspin import (
     level_concurrence,
     limit_temperatures,
     log_partition,
+    multiplicity,
     oracle_concurrence,
     oracle_log_partition,
     oracle_observables,
@@ -32,8 +36,10 @@ from fcspin import (
     thermal_concurrence,
     thermal_observables,
 )
+import fcspin.exact
 from fcspin.exact import (GROUND_DEGENERACY_RTOL, _signed_c_of_t,
-                          _signed_c_on_grid)
+                          _signed_c_on_grid, _solve_tridiagonal)
+from fcspin.roots import _sign_changes
 from tests.conftest import draw_params, draw_temperature
 
 ATOL = 1e-9
@@ -203,6 +209,53 @@ def test_parity_transitions_count_and_accumulation():
     assert math.isclose(cross[-1], factorizing_field(p).finite_n, abs_tol=1e-6)
 
 
+def _reference_parity_gap(params: ModelParams, b: float) -> float:
+    """E0(even) - E0(odd) of the maximum-spin block rebuilt at field b."""
+    block = build_block(params.with_field(b), params.n)
+    lows = {}
+    for sub in parity_split(block).blocks:
+        if sub.dim == 1:
+            lows[sub.parity] = float(sub.diag[0])
+        else:
+            w = eigh_tridiagonal(sub.diag, sub.off, eigvals_only=True,
+                                 select="i", select_range=(0, 0))
+            lows[sub.parity] = float(w[0])
+    return lows[1] - lows[-1]
+
+
+def _reference_parity_transitions(params: ModelParams, b_range):
+    """The scan that rebuilt the block at every field, kept as reference."""
+    b_c = params.v_x - params.v_z
+    grid = np.linspace(*b_range, max(400, 24 * params.n))
+    gap = lambda b: _reference_parity_gap(params, b)
+    return [c.polish(brentq, gap, xtol=1e-12 * b_c)
+            for c in _sign_changes(grid, [gap(b) for b in grid])]
+
+
+def _parity_scan_draws():
+    rng = np.random.default_rng(71)
+    for i in range(8):
+        n = int(rng.integers(1, 41))
+        chi = 1.0 if i % 4 == 0 else float(rng.uniform(0.05, 1.0))
+        v_z = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6))
+        p = ModelParams.from_chi(n, 0.0, chi, v_z=v_z)
+        b_c = p.v_x - p.v_z
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)) * b_c
+        yield p, (float(lo), float(hi))
+    # a range through b = 0, where ModelParams folds the field
+    yield ModelParams.from_chi(7, 0.0, 0.4, v_z=0.2), (-0.5, 0.3)
+
+
+@pytest.mark.parametrize("p, b_range", list(_parity_scan_draws()),
+                         ids=lambda v: (f"n{v.n}-chi{v.chi:.2f}"
+                                        if isinstance(v, ModelParams)
+                                        else f"{v[0]:.2f}-{v[1]:.2f}"))
+def test_parity_scan_matches_the_per_field_rebuild(p, b_range):
+    # building the block once per scan changes no crossing, bitwise
+    assert parity_transitions(p, b_range) == \
+        _reference_parity_transitions(p, b_range)
+
+
 def test_spectrum_low_matches_dense_gaps():
     rng = np.random.default_rng(41)
     p = draw_params(rng, 6)
@@ -346,6 +399,89 @@ def test_level_bounds_equal_the_per_block_formula():
     for p in draws:
         want = [_block_bound(sub) for sub in _sub_blocks(p)]
         assert Spectra(p)._low.tolist() == want, p
+
+
+def _per_sector_reference(p: ModelParams) -> dict:
+    """Flat arrays from one SpinBlock/ParityBlocks pair per sector.
+
+    The construction the flat build replaced: every sub-block solved in
+    full, with the same solver and moment expressions, kept as reference.
+    """
+    out = {k: [] for k in ("_low", "log_mult", "two_s", "parity", "k_index",
+                           "energy", "m2x", "m2y", "m2z", "m1z")}
+    for ts in sector_spins(p.n):
+        split = parity_split(build_block(p, ts))
+        for sub in split.blocks:
+            w, v = _solve_tridiagonal(sub.diag, sub.off)
+            pr = v * v
+            m = sub.m_values
+            mz2 = (m * m) @ pr
+            pp = 2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1 else 0.0
+            s = ts / 2.0
+            half = 0.5 * (s * (s + 1.0) - mz2)
+            for k, a in (("_low", [_block_bound(sub)]),
+                         ("log_mult", np.full(sub.dim,
+                                              math.log(split.multiplicity))),
+                         ("two_s", np.full(sub.dim, ts)),
+                         ("parity", np.full(sub.dim, sub.parity)),
+                         ("k_index", np.arange(sub.dim)), ("energy", w),
+                         ("m2x", half + 0.25 * pp), ("m2y", half - 0.25 * pp),
+                         ("m2z", mz2), ("m1z", m @ pr)):
+                out[k].append(np.asarray(a))
+    return {k: np.concatenate(v) for k, v in out.items()}
+
+
+def _flat_build_draws():
+    rng = np.random.default_rng(73)
+    yield ModelParams(n=1, b=0.0, v_x=1.0, v_y=-0.5, v_z=-0.2), None
+    yield ModelParams(n=2, b=0.0, v_x=1.0, v_y=1.0, v_z=0.4), None
+    yield ModelParams(n=11, b=0.7, v_x=1.3, v_y=1.3, v_z=-0.6), 5
+    yield ModelParams(n=400, b=0.4, v_x=1.0, v_y=-0.8, v_z=-0.9), None
+    for i, n in enumerate((3, 24, 57, 130, 201, 288, 399)):
+        p = draw_params(rng, n)
+        yield (p if i % 3 else p.with_field(0.0)), (None if i % 2 else 37)
+
+
+@pytest.mark.parametrize("p, chunk", list(_flat_build_draws()),
+                         ids=lambda v: (f"n{v.n}-b{v.b:.2f}"
+                                        if isinstance(v, ModelParams)
+                                        else f"chunk{v}"))
+def test_flat_build_matches_the_per_sector_build(p, chunk, monkeypatch):
+    # bitwise, also when the build runs in several chunks of levels
+    if chunk is not None:
+        monkeypatch.setattr(fcspin.exact, "_BUILD_CHUNK", chunk)
+    want = _per_sector_reference(p)
+    sp = Spectra(p)
+    assert sp._low.tobytes() == want["_low"].tobytes()  # bounds, pre-solve
+    for k, a in want.items():
+        if k != "_low":
+            got = getattr(sp, k)
+            assert got.dtype == a.dtype and got.tobytes() == a.tobytes(), k
+    lo = 0
+    for sec, ts in zip(sp.sectors, sector_spins(p.n)):
+        hi = lo + ts + 1
+        assert (sec.two_s, sec.multiplicity) == (ts, multiplicity(p.n, ts))
+        for k in ("parity", "k_index", "energy", "m2x", "m2y", "m2z", "m1z"):
+            assert getattr(sec, k).tobytes() == want[k][lo:hi].tobytes(), k
+        lo = hi
+    assert lo == len(sp.energy)
+
+
+def test_limit_temperatures_leaves_no_spectrum_alive():
+    # the brentq polish must not hold the spectrum in a reference cycle,
+    # where it would outlive the cache until the cyclic collector runs
+    p = ModelParams.from_chi(12, 0.6, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        diagonalize.cache_clear()
+        ivs = limit_temperatures(p)
+        assert ivs.plus or ivs.minus  # some sign change was polished
+        ref = weakref.ref(diagonalize(p))
+        diagonalize.cache_clear()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _batch_draws():

@@ -16,6 +16,8 @@ from fcspin import (
     parity_split,
     sector_spins,
 )
+from fcspin.spin_algebra import (off_diagonal_scale, sector_multiplicities,
+                                 sub_block_elements)
 from tests.conftest import draw_params
 
 
@@ -58,6 +60,14 @@ def test_log_multiplicity_matches_exact_counts():
                 multiplicity(n, two_s),
                 rel_tol=1e-12,
             )
+
+
+def test_sector_multiplicities_match_the_binomials():
+    # the recurrence against two math.comb calls per sector
+    for n in [*range(1, 41), 399, 400, 1001, 1999, 2000]:
+        got = sector_multiplicities(n)
+        assert got == [multiplicity(n, ts) for ts in sector_spins(n)], n
+        assert all(type(y) is int for y in got)
 
 
 def test_log_multiplicity_no_overflow():
@@ -113,6 +123,56 @@ def test_field_enters_linearly_on_the_diagonal():
         m = np.arange(-two_s / 2, two_s / 2 + 1)
         assert np.allclose(b1.diag - b0.diag, 0.9 * m, atol=1e-14)
         assert np.array_equal(b1.off2, b0.off2)
+
+
+def _closed_form_block(p: ModelParams, two_s: int):
+    """Diagonal and S_+^2 elements as build_block wrote them inline."""
+    n, dim, s = p.n, two_s + 1, two_s / 2.0
+    m = (np.arange(dim) * 2 - two_s) / 2.0
+    vx, vy, vz = p.v_x, p.v_y, p.v_z
+    diag = p.b * m - (0.5 * (vx + vy) * (s * (s + 1) - m * m) + vz * m * m
+                      - 0.25 * n * (vx + vy + vz)) / n
+    mm = m[:-2]
+    ladder = np.sqrt((s - mm) * (s + mm + 1) * (s - mm - 1) * (s + mm + 2))
+    return diag, ladder, -(vx - vy) / (4.0 * n) * ladder
+
+
+def _element_draws():
+    rng = np.random.default_rng(13)
+    draws = [ModelParams(n=n, b=0.0, v_x=1.0, v_y=-0.7, v_z=-0.4)
+             for n in (1, 2, 3)]
+    draws.append(ModelParams(n=9, b=0.6, v_x=1.2, v_y=1.2, v_z=0.3))
+    return draws + [draw_params(rng, int(n)) for n in rng.integers(1, 120, 8)]
+
+
+def test_build_block_keeps_the_closed_form_bitwise():
+    for p in _element_draws():
+        for two_s in sector_spins(p.n):
+            blk = build_block(p, two_s)
+            diag, ladder, off2 = _closed_form_block(p, two_s)
+            assert blk.diag.tobytes() == diag.tobytes()
+            assert blk.ladder2.tobytes() == ladder.tobytes()
+            assert blk.off2.tobytes() == off2.tobytes()
+
+
+def test_sub_block_elements_equal_the_parity_split_bitwise():
+    for p in _element_draws():
+        scale = off_diagonal_scale(p)
+        for two_s in sector_spins(p.n):
+            subs = parity_split(build_block(p, two_s)).blocks
+            m, x, plus2 = sub_block_elements(p, two_s, [0, 1][:len(subs)])
+            assert len(m) == two_s + 1
+            lo = 0
+            for sub in subs:
+                hi = lo + sub.dim
+                assert m[lo:hi].tobytes() == sub.m_values.tobytes()
+                assert (p.b * m[lo:hi] - x[lo:hi]).tobytes() == \
+                    sub.diag.tobytes()
+                assert plus2[lo:hi - 1].tobytes() == sub.plus2.tobytes()
+                assert (scale * plus2[lo:hi - 1]).tobytes() == \
+                    sub.off.tobytes()
+                assert plus2[hi - 1] == 0.0
+                lo = hi
 
 
 # ---------------------------------------------------------------------------
