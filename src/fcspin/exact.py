@@ -405,20 +405,22 @@ class Correlators:
     sz: float
 
 
+def _correlators(moments, n: int) -> Correlators:
+    """Correlators from the moments (m2x, m2y, m2z, m1z), floats or arrays."""
+    m2x, m2y, m2z, m1z = moments
+    denom = n * (n - 1)
+    return Correlators(alpha_x=(m2x - 0.25 * n) / denom,
+                       alpha_y=(m2y - 0.25 * n) / denom,
+                       alpha_z=(m2z - 0.25 * n) / denom, sz=m1z / n)
+
+
 def thermal_observables(spectra: Spectra, T: float) -> Correlators:
     """Thermal alpha_mu and sz from multiplicity-weighted eigenstate moments."""
     n = spectra.params.n
     if n < 2:
         raise ValueError("pair correlators need n >= 2")
     w, _ = spectra._weights(T)
-    m2x, m2y, m2z, m1z = (spectra._moments @ w) / w.sum()
-    denom = n * (n - 1)
-    return Correlators(
-        alpha_x=(float(m2x) - 0.25 * n) / denom,
-        alpha_y=(float(m2y) - 0.25 * n) / denom,
-        alpha_z=(float(m2z) - 0.25 * n) / denom,
-        sz=float(m1z) / n,
-    )
+    return _correlators(((spectra._moments @ w) / w.sum()).tolist(), n)
 
 
 @dataclass(frozen=True)
@@ -501,14 +503,14 @@ class ConcurrenceReport:
     formation: float | None = None
 
 
-def _signed_concurrences(pd: PairDensity) -> tuple[float, float]:
-    c_plus = 2.0 * (abs(pd.alpha_plus) - pd.p_zero)
+def _signed_concurrences(pd: PairDensity):
+    """Signed (C_+, C_-) of an X-form state whose fields are floats or arrays."""
     rad = pd.p_plus * pd.p_minus
-    if rad < -1e-10:
+    if np.min(rad) < -1e-10:
         raise InvalidStateError(
-            f"p_+ p_- = {rad} < 0: sz exceeds the compatible range"
-        )
-    c_minus = 2.0 * (abs(pd.alpha_minus) - math.sqrt(max(rad, 0.0)))
+            f"p_+ p_- = {np.min(rad)} < 0: sz exceeds the compatible range")
+    c_plus = 2.0 * (abs(pd.alpha_plus) - pd.p_zero)
+    c_minus = 2.0 * (abs(pd.alpha_minus) - np.sqrt(np.maximum(rad, 0.0)))
     return c_plus, c_minus
 
 
@@ -519,7 +521,7 @@ def concurrence(pd: PairDensity, formation: bool = False) -> ConcurrenceReport:
     2(|a_-| - sqrt(p_+ p_-)) antiparallel; at most one can be positive and
     C = max(C_+, C_-, 0).
     """
-    c_plus, c_minus = _signed_concurrences(pd)
+    c_plus, c_minus = map(float, _signed_concurrences(pd))
     c = max(c_plus, c_minus, 0.0)
     if c_plus > 0.0:
         kind = "parallel"
@@ -566,14 +568,8 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int, parity: int,
                          & (spectra.k_index == k))
     if len(hit) != 1:
         raise ValueError(f"no level with 2S={two_s}, k={k}, parity={parity:+d}")
-    i = int(hit[0])
-    denom = n * (n - 1)
-    corr = Correlators(
-        alpha_x=(float(spectra.m2x[i]) - 0.25 * n) / denom,
-        alpha_y=(float(spectra.m2y[i]) - 0.25 * n) / denom,
-        alpha_z=(float(spectra.m2z[i]) - 0.25 * n) / denom,
-        sz=float(spectra.m1z[i]) / n,
-    )
+    spectra._solve_all()
+    corr = _correlators(spectra._moments[:, hit[0]].tolist(), n)
     return concurrence(pair_density(corr, n), formation=formation)
 
 
@@ -598,8 +594,9 @@ class LimitTemperatures:
 
 
 def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
-    pd = pair_density(thermal_observables(spectra, T), spectra.params.n)
-    return _signed_concurrences(pd)
+    rep = concurrence(pair_density(thermal_observables(spectra, T),
+                                   spectra.params.n))
+    return rep.c_plus, rep.c_minus
 
 
 def _signed_c_component(T: float, spectra: Spectra, comp: int) -> float:
@@ -618,18 +615,8 @@ def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
     rounding.
     """
     n = spectra.params.n
-    m2x, m2y, m2z, m1z = spectra._thermal_moments(grid)
-    denom = n * (n - 1)
-    pd = pair_density(Correlators(
-        alpha_x=(m2x - 0.25 * n) / denom, alpha_y=(m2y - 0.25 * n) / denom,
-        alpha_z=(m2z - 0.25 * n) / denom, sz=m1z / n), n)
-    rad = pd.p_plus * pd.p_minus
-    if rad.min() < -1e-10:
-        raise InvalidStateError(
-            f"p_+ p_- = {rad.min()} < 0: sz exceeds the compatible range")
-    return np.column_stack([
-        2.0 * (np.abs(pd.alpha_plus) - pd.p_zero),
-        2.0 * (np.abs(pd.alpha_minus) - np.sqrt(np.maximum(rad, 0.0)))])
+    corr = _correlators(spectra._thermal_moments(grid), n)
+    return np.column_stack(_signed_concurrences(pair_density(corr, n)))
 
 
 def limit_temperatures(params: ModelParams, b: float | None = None, *,
@@ -705,49 +692,41 @@ def spectrum_low(spectra: Spectra, count: int) -> list[tuple[int, int, int, floa
     return rows
 
 
-def _parity_gap(b: float, halves) -> float:
-    """E0(even) - E0(odd) of the maximum-spin sector at field b.
-
-    ``halves`` holds (m, x, off) of its even and odd parity sub-blocks.
-    """
-    b = -b if b < 0 else b  # the field fold of ModelParams
-    lows = []
-    for m, x, off in halves:
-        diag = b * m - x
-        if len(diag) == 1:
-            lows.append(float(diag[0]))
-        else:
-            w = eigh_tridiagonal(diag, off, eigvals_only=True,
-                                 select="i", select_range=(0, 0))
-            lows.append(float(w[0]))
-    return lows[0] - lows[1]
-
-
 def parity_transitions(params: ModelParams,
                        b_range: tuple[float, float] | None = None) -> list[float]:
     """Fields where the maximum-spin ground state's parity flips.
 
-    In the symmetry-breaking regime the two parities are quasi-degenerate and
-    their splitting oscillates, giving n/2 crossings that accumulate toward
-    the exact factorizing field (1 - 1/n) b_c sqrt(chi).  Tracks the sign of
-    the even-odd gap on max(400, 24 n) fields and refines each sign change
-    to 1e-12 b_c; a field where the gap is exactly 0, common at large n where
-    it sits at roundoff, is itself a crossing (``roots._sign_changes``).
-    Only the diagonals' b M term depends on the field, so the sub-blocks'
-    other elements are built once.
+    Below the factorizing field b_s = (v_x - v_z) sqrt(chi) the two parities
+    of the maximum-spin sector are quasi-degenerate and their ground levels
+    cross floor(n/2) times, equally spaced at
+
+        b_k = b_s (n + 1 - 2k) / n,    k = 1 .. floor(n/2),
+
+    the last at the finite-size factorizing field (1 - 1/n) b_s.  At chi = 1
+    this is exact (the blocks are diagonal and E(M+1) - E(M) = b + (v_x -
+    v_z)(2M + 1)/n).  At chi < 1 it is a numerical finding, not a proof: a
+    90-digit Sturm bisection of both parity blocks finds the even-odd gap
+    alternating in sign between consecutive b_k at n = 11, 40 and 100
+    (chi = 1/4) and n = 30 (chi = 1/100), and at n <= 40 each sign change
+    within 1e-20 relative of its b_k
+    (``test_parity_gap_alternates_between_closed_form_nodes`` in
+    ``tests/test_exact.py``); a float64 scan of the gap agrees where it
+    resolves it, at small n.  At n = 100 that gap is down to 6e-57 between
+    the nodes, far below float64 roundoff.
+
+    Returns the b_k in ascending order; with ``b_range`` only those in the
+    closed interval, including the mirrored -b_k (the field b -> -b is an
+    S_z flip).
     """
     d = params.v_x - params.v_z
     chi = params.chi
     if not (d > 0 and 0.0 < chi <= 1.0):
         raise ValueError("parity transitions require anisotropy chi in (0, 1]")
-    b_c = d
-    lo, hi = b_range if b_range is not None else (1e-9 * b_c, b_c * (1 - 1e-9))
-    grid = np.linspace(lo, hi, max(400, 24 * params.n))
-    m, x, plus2 = sub_block_elements(params, params.n, [0, 1])
-    off = off_diagonal_scale(params) * plus2
-    cut = params.n // 2 + 1  # levels of the even half
-    halves = ((m[:cut], x[:cut], off[:cut - 1]),
-              (m[cut:], x[cut:], off[cut:-1]))
-    gap = lambda b: _parity_gap(b, halves)
-    return [c.polish(brentq, gap, xtol=1e-12 * b_c)
-            for c in _sign_changes(grid, [gap(b) for b in grid])]
+    n = params.n
+    b_s = d * math.sqrt(chi)
+    nodes = [b_s * (n + 1 - 2 * k) / n for k in range(n // 2, 0, -1)]
+    if b_range is None:
+        return nodes
+    lo, hi = b_range
+    mirrored = [-b for b in reversed(nodes)] + nodes
+    return [b for b in mirrored if lo <= b <= hi]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from fcspin import (
+    Correlators,
+    InvalidStateError,
     ModelParams,
     Spectra,
     build_block,
@@ -40,6 +44,7 @@ import fcspin.exact
 from fcspin.exact import (GROUND_DEGENERACY_RTOL, _signed_c_of_t,
                           _signed_c_on_grid, _solve_tridiagonal)
 from fcspin.roots import _sign_changes
+from fcspin.spin_algebra import off_diagonal_scale, sub_block_elements
 from tests.conftest import draw_params, draw_temperature
 
 ATOL = 1e-9
@@ -233,6 +238,9 @@ def _reference_parity_transitions(params: ModelParams, b_range):
 
 
 def _parity_scan_draws():
+    # draws where the float64 scan resolves the gap, all at chi >= 0.25 (n up
+    # to 39 from the first seed, n <= 14 from the second); at smaller chi the
+    # gap sinks to roundoff, and the decimal oracle below covers it instead
     rng = np.random.default_rng(71)
     for i in range(8):
         n = int(rng.integers(1, 41))
@@ -241,6 +249,15 @@ def _parity_scan_draws():
         p = ModelParams.from_chi(n, 0.0, chi, v_z=v_z)
         b_c = p.v_x - p.v_z
         lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)) * b_c
+        if chi >= 0.25:
+            yield p, (float(lo), float(hi))
+    rng = np.random.default_rng(72)
+    for i in range(12):
+        n = int(rng.integers(2, 15))
+        chi = 1.0 if i % 4 == 0 else float(rng.uniform(0.25, 1.0))
+        v_z = float(rng.uniform(-0.6, 0.6)) if i % 2 else 0.0
+        p = ModelParams.from_chi(n, 0.0, chi, v_z=v_z)
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)) * (p.v_x - p.v_z)
         yield p, (float(lo), float(hi))
     # a range through b = 0, where ModelParams folds the field
     yield ModelParams.from_chi(7, 0.0, 0.4, v_z=0.2), (-0.5, 0.3)
@@ -251,9 +268,129 @@ def _parity_scan_draws():
                                         if isinstance(v, ModelParams)
                                         else f"{v[0]:.2f}-{v[1]:.2f}"))
 def test_parity_scan_matches_the_per_field_rebuild(p, b_range):
-    # building the block once per scan changes no crossing, bitwise
-    assert parity_transitions(p, b_range) == \
-        _reference_parity_transitions(p, b_range)
+    # the closed form against the float64 scan where that scan is resolved
+    got = parity_transitions(p, b_range)
+    want = _reference_parity_transitions(p, b_range)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert math.isclose(g, w, rel_tol=1e-8)
+
+
+def test_parity_transitions_at_n100():
+    # a float64 scan of the gap finds 1129 crossings here, where the gap is
+    # below roundoff
+    p = ModelParams.from_chi(100, 0.0, 0.5)
+    cross = parity_transitions(p)
+    assert len(cross) == 50
+    assert math.isclose(cross[-1], (1 - 1 / 100) * math.sqrt(0.5),
+                        rel_tol=1e-12)
+    # b_range is a closed interval and takes in the mirrored crossings
+    assert parity_transitions(p, (cross[0], cross[-1])) == cross
+    assert parity_transitions(p, (-cross[-1], cross[-1])) == \
+        [-b for b in reversed(cross)] + cross
+
+
+def _exact_sqrt(q: Fraction) -> Fraction:
+    r = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    assert r * r == q
+    return r
+
+
+def _max_spin_halves(n: int, vx: Fraction, vy: Fraction, vz: Fraction):
+    """(M, field-free part X, squared off-diagonals) of both parity halves.
+
+    Exact: the diagonal is b M - X and the squared couplings are rational.
+    """
+    two_s, scale2 = n, ((vx - vy) / (4 * n)) ** 2
+    casimir = Fraction(two_s * (two_s + 2), 4)
+    halves = []
+    for first in (0, 1):
+        tm = range(2 * first - two_s, two_s + 1, 4)  # 2M
+        x = [((vx + vy) / 2 * (casimir - Fraction(t * t, 4))
+              + vz * Fraction(t * t, 4) - Fraction(n, 4) * (vx + vy + vz)) / n
+             for t in tm]
+        e2 = [scale2 * Fraction((two_s - t) * (two_s + t + 2) * (two_s - t - 2)
+                                * (two_s + t + 4), 16) for t in tm[:-1]]
+        halves.append(([Fraction(t, 2) for t in tm], x, e2))
+    return halves
+
+
+def _sturm_lowest(diag: list[Decimal], e2: list[Decimal]) -> Decimal:
+    """Lowest eigenvalue by 300 bisections of the Sturm count."""
+    def below(x):  # number of eigenvalues below x
+        count, q = 0, None
+        for i, d in enumerate(diag):
+            q = d - x if i == 0 else d - x - e2[i - 1] / q
+            if q == 0:
+                q = Decimal("1e-200")
+            count += q < 0
+        return count
+    radius = [Decimal(0)] * len(diag)
+    for i, v in enumerate(e2):
+        radius[i] += v.sqrt()
+        radius[i + 1] += v.sqrt()
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
+    for _ in range(300):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("n, vx, vy, vz", [
+    (40, Fraction(1), Fraction(1, 4), Fraction(0)),
+    (100, Fraction(1), Fraction(1, 4), Fraction(0)),
+    (11, Fraction(1), Fraction(-1, 8), Fraction(-1, 2)),
+    (30, Fraction(1), Fraction(1, 100), Fraction(0)),
+], ids=["n40", "n100", "n11-vz", "n30-chi0.01"])
+def test_parity_gap_alternates_between_closed_form_nodes(n, vx, vy, vz):
+    # b_s = sqrt((v_x - v_z)(v_y - v_z)) is rational on these draws, so the
+    # nodes b_s (n + 1 - 2k)/n and the fields between them are exact; between
+    # the nodes the even-odd gap is down to 6e-57 at n = 100 and 6e-39 at
+    # chi = 0.01, far below float64
+    p = ModelParams(n, 0.0, float(vx), float(vy), float(vz))
+    b_s = _exact_sqrt((vx - vz) * (vy - vz))
+    nodes = [b_s * (n + 1 - 2 * k) / n for k in range(n // 2, 0, -1)]
+    got = parity_transitions(p)
+    assert len(got) == len(nodes)
+    for g, w in zip(got, nodes):
+        assert math.isclose(g, float(w), rel_tol=1e-15)
+    halves = _max_spin_halves(n, vx, vy, vz)
+    # the same Hamiltonian as the package's sub-blocks
+    m, x, plus2 = sub_block_elements(p, n, [0, 1])
+    off2 = (off_diagonal_scale(p) * plus2) ** 2
+    cut = n // 2 + 1
+    for (hm, hx, he2), sl in zip(halves, (slice(0, cut), slice(cut, None))):
+        assert np.array_equal(np.array(hm, dtype=float), m[sl])
+        assert np.allclose(np.array(hx, dtype=float), x[sl],
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(np.array(he2, dtype=float), off2[sl][:-1],
+                           rtol=1e-13, atol=0.0)
+    with localcontext() as ctx:
+        ctx.prec = 90
+        dec = [[[Decimal(v.numerator) / v.denominator for v in col]
+                for col in half] for half in halves]
+
+        def gap_sign(b: Fraction) -> int:
+            b = Decimal(b.numerator) / b.denominator
+            even, odd = (_sturm_lowest([b * mi - xi for mi, xi in zip(ms, xs)],
+                                       e2s) for ms, xs, e2s in dec)
+            return (even > odd) - (even < odd)
+
+        # one field below the first node, one between each pair, one above
+        # the last: the sign of the gap alternates across them
+        edges = [Fraction(0)] + nodes + [b_s]
+        signs = [gap_sign((lo + hi) / 2) for lo, hi in zip(edges, edges[1:])]
+        assert 0 not in signs
+        assert all(a == -b for a, b in zip(signs, signs[1:]))
+        # and each sign change lies within 1e-20 of its node (n = 100 skips
+        # this to keep the test short)
+        if n < 100:
+            for b_k in nodes:
+                below, above = (gap_sign(b_k * (1 + eps))
+                                for eps in (Fraction(-1, 10**20),
+                                            Fraction(1, 10**20)))
+                assert below == -above != 0
 
 
 def test_spectrum_low_matches_dense_gaps():
@@ -272,6 +409,30 @@ def test_level_concurrence_unknown_level():
     sp = diagonalize(ModelParams(n=4, b=0.1, v_x=1.0, v_y=0.5, v_z=0.0))
     with pytest.raises(ValueError):
         level_concurrence(sp, 3, 0, 1)  # no such sector for even n
+
+
+def test_scalar_results_are_python_floats():
+    # the CLI prints repr, and repr of a NumPy scalar reads np.float64(...)
+    p = ModelParams.from_chi(12, 0.4, 0.5, v_z=-0.2)
+    sp = diagonalize(p)
+    for T in (0.0, 0.2):
+        corr = thermal_observables(sp, T)
+        assert all(type(v) is float for v in vars(corr).values())
+        assert all(type(v) is float for v in _signed_c_of_t(sp, T))
+    for rep in (thermal_concurrence(p, 0.2, formation=True),
+                level_concurrence(sp, 12, 0, 1, formation=True),
+                level_concurrence(sp, 10, 1, -1, formation=True)):
+        assert type(rep.c_plus) is float and type(rep.c_minus) is float
+        assert type(rep.c) is float and type(rep.formation) is float
+
+
+def test_incompatible_sz_raises_on_scalar_and_grid_paths():
+    bad = Correlators(alpha_x=0.0, alpha_y=0.0, alpha_z=-0.2, sz=0.3)
+    with pytest.raises(InvalidStateError, match="p_\\+ p_- = -0.0875"):
+        concurrence(pair_density(bad, 10))
+    grid = Correlators(*(np.array([0.0, v]) for v in vars(bad).values()))
+    with pytest.raises(InvalidStateError, match="p_\\+ p_- = -0.0875"):
+        fcspin.exact._signed_concurrences(pair_density(grid, 10))
 
 
 # ---------------------------------------------------------------------------

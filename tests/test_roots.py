@@ -120,10 +120,8 @@ def test_limit_temperatures_patch_branch(monkeypatch):
     assert math.isclose(hi, 0.10188299219423406, rel_tol=1e-12)
 
 
-PARITY_N20 = [0.03535533922835933, 0.10606601716612636, 0.17677669537332072,
-              0.24748737339511032, 0.3181980515357766, 0.3889087296887038,
-              0.4596194077763415, 0.5303300858930291, 0.6010407640088519,
-              0.6717514421272275]
+# the closed form b_s (n + 1 - 2k)/n, k = n/2 .. 1, with b_s = sqrt(chi)
+PARITY_N20 = [math.sqrt(0.5) * (21 - 2 * k) / 20 for k in range(10, 0, -1)]
 
 
 def test_parity_transitions_golden_n20():
