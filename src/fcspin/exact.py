@@ -65,21 +65,43 @@ _SCAN_CHUNK = 16  # temperatures per chunk of Spectra._thermal_moments
 # levels per chunk of the sub-block build, which bounds its temporaries
 _BUILD_CHUNK = 1 << 18
 
+# sub-blocks of at least _STAGED_DIM levels are solved in two fixed stages,
+# their lowest _PREFIX_LEVELS levels first (see _solve_stage)
+_STAGED_DIM = 256
+_PREFIX_LEVELS = 16
 
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray):
+
+def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
+    """Eigenpairs of a sub-block's next stage, given ``solved`` levels so far.
+
+    A sub-block of fewer than ``_STAGED_DIM`` levels is solved whole in one
+    call.  A larger one is solved in two fixed stages: its lowest
+    ``_PREFIX_LEVELS`` levels, then one full solve that supplies the rest
+    and drops its own copy of the prefix.  A level thus always comes from
+    the same call, whatever solved its sub-block's other levels.  Returns
+    the levels ``solved, solved + 1, ...`` and their eigenvectors.
+    """
     if len(diag) == 1:
         return diag.astype(float).copy(), np.ones((1, 1))
-    return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    if len(diag) < _STAGED_DIM:
+        return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    if not solved:
+        return eigh_tridiagonal(diag, off, select="i",
+                                select_range=(0, _PREFIX_LEVELS - 1),
+                                lapack_driver="stemr")
+    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    return w[solved:], v[:, solved:]
 
 
 def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
-                         start: np.ndarray) -> np.ndarray:
+                         start: np.ndarray):
     """Gershgorin lower bound on the lowest level of each parity sub-block.
 
     Widened by the solver's backward error (dim * eps * norm), so that it
-    also bounds the computed lowest level.  The sub-blocks are laid end to
-    end (``start`` holds their offsets), ``off`` is 0 at the last level of
-    each, and the arrays are reduced segment by segment.
+    also bounds the computed lowest level; returns the bounds and that
+    widening.  The sub-blocks are laid end to end (``start`` holds their
+    offsets), ``off`` is 0 at the last level of each, and the arrays are
+    reduced segment by segment.
     """
     # |off| to the next level of the same sub-block, plus |off| to the
     # previous one
@@ -90,7 +112,8 @@ def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
     norm = np.maximum.reduceat(norm, start[:-1])
     low = np.minimum.reduceat(np.subtract(diag, radius, out=radius),
                               start[:-1])
-    return low - np.diff(start) * np.finfo(float).eps * norm
+    slack = np.diff(start) * np.finfo(float).eps * norm
+    return low - slack, slack
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -128,14 +151,17 @@ class Spectra:
     Construction builds the elements of every (S, parity) sub-block in one
     vectorized pass, laid end to end like the level arrays, and a lower
     bound on each sub-block's lowest level; it solves none.  A thermal
-    evaluation at T solves only the sub-blocks that can hold a level inside
-    the Boltzmann window (see ``BOLTZMANN_CUT``) and keeps them for later
-    temperatures.  Levels outside the window weigh exactly 0, so a result
-    depends on (params, T) alone, not on the temperatures evaluated before.
-    The flat per-level arrays run over the sectors in ``sector_spins``
-    order, each laid out as in ``SectorSpectrum``; they, ``sectors`` and
-    ``ground_energy`` keep their full-spectrum meaning.  Every array handed
-    out is read-only.
+    evaluation at T solves only what can hold a level inside the Boltzmann
+    window (see ``BOLTZMANN_CUT``) and keeps it for later temperatures:
+    small sub-blocks whole, large ones in two fixed stages, the lowest
+    ``_PREFIX_LEVELS`` levels first and the rest only when the window
+    reaches past them (``_solve_stage``).  Each level always comes from the
+    same solver call and levels outside the window weigh exactly 0, so a
+    result depends on (params, T) alone, not on the temperatures evaluated
+    before.  The flat per-level arrays run over the sectors in
+    ``sector_spins`` order, each laid out as in ``SectorSpectrum``; they,
+    ``sectors`` and ``ground_energy`` keep their full-spectrum meaning.
+    Every array handed out is read-only.
     """
 
     def __init__(self, params: ModelParams):
@@ -159,7 +185,7 @@ class Spectra:
         self._diag, self._plus2 = np.empty(size), np.empty(size)
         edges = np.unique(np.append(np.searchsorted(
             self._start, np.arange(0, size, _BUILD_CHUNK)), len(dims)))
-        low = []
+        bounds = []
         for a, b in zip(edges[:-1], edges[1:]):
             lo, hi = self._start[a], self._start[b]
             m, x, plus2 = sub_block_elements(params, self._sub_two_s[a:b],
@@ -167,22 +193,26 @@ class Spectra:
             diag = np.multiply(params.b, m, out=m)
             diag -= x
             self._diag[lo:hi], self._plus2[lo:hi] = diag, plus2
-            low.append(_lowest_level_bounds(
+            bounds.append(_lowest_level_bounds(
                 diag, self._off_scale * plus2, self._start[a:b + 1] - lo))
-        # lowest level of each sub-block: the bound until solved, then exact
-        self._low = np.concatenate(low)
-        self._solved = np.zeros(len(dims), dtype=bool)
-        self._complete = False
+        # lower bound on each sub-block's lowest unsolved level: the
+        # Gershgorin bound, then the solved prefix's last level less the
+        # same widening, then +inf once the sub-block is complete
+        self._low, self._slack = map(np.concatenate, zip(*bounds))
+        self._ground = np.full(len(dims), np.inf)  # lowest level, once solved
+        self._open = len(dims)  # sub-blocks not yet complete
         self._cut = BOLTZMANN_CUT + math.log(size)
         self.log_mult = _read_only(np.repeat(self._sub_log_mult, dims))
         # unsolved levels carry infinite energy (zero weight), zero moments
         self._energy = np.full(size, np.inf)
         self._moments = np.zeros((4, size))  # m2x, m2y, m2z, m1z
 
-    def _solve(self, j: int) -> None:
+    def _advance(self, j: int) -> None:
+        """Solve the next stage of sub-block j (see ``_solve_stage``)."""
         lo, hi = self._start[j], self._start[j + 1]
         plus2 = self._plus2[lo:hi - 1]
-        w, v = _solve_tridiagonal(self._diag[lo:hi], self._off_scale * plus2)
+        done = _PREFIX_LEVELS if self._ground[j] < np.inf else 0
+        w, v = _solve_stage(self._diag[lo:hi], self._off_scale * plus2, done)
         p = v * v
         s = self._sub_two_s[j] / 2.0
         m = np.arange(self._sub_first[j] - s, s + 1.0, 2.0)  # M, exact
@@ -190,70 +220,96 @@ class Spectra:
         # <S_+^2 + S_-^2> = 2 sum_j c_j v_j v_{j+1} for real eigenvectors
         pp = 2.0 * (plus2 @ (v[:-1] * v[1:])) if hi - lo > 1 else 0.0
         half = 0.5 * (s * (s + 1.0) - mz2)
-        self._energy[lo:hi] = w
-        self._moments[:, lo:hi] = (half + 0.25 * pp, half - 0.25 * pp, mz2,
-                                   m @ p)
-        self._low[j] = w[0]
-        self._solved[j] = True
-
-    def _best(self, T: float, j=slice(None)):
-        """Best log-weight a level of sub-block(s) j can have (-E at T = 0)."""
-        if T == 0:
-            return -self._low[j]
-        return self._sub_log_mult[j] - self._low[j] / T
-
-    def _solve_window(self, T: float) -> None:
-        """Solve every sub-block that can hold a level inside the window at T.
-
-        Sub-blocks go best bound first; the loop stops once no unsolved one
-        can come within the window of the best level found so far, which by
-        then is the global best.
-        """
-        if self._complete:
+        lo, end = lo + done, lo + done + len(w)
+        self._energy[lo:end] = w
+        self._moments[:, lo:end] = (half + 0.25 * pp, half - 0.25 * pp, mz2,
+                                    m @ p)
+        if not done:
+            self._ground[j] = w[0]
+        if end < hi:
+            self._low[j] = w[-1] - self._slack[j]
             return
-        width = (GROUND_DEGENERACY_RTOL * self.params.v_x if T == 0
-                 else self._cut)
-        best = self._best(T)
-        top = best[self._solved].max(initial=-np.inf)
-        todo = np.flatnonzero(~self._solved & (best >= top - width))
-        for j in todo[np.argsort(-best[todo], kind="stable")]:
-            if best[j] < top - width:
-                break
-            self._solve(j)
-            top = max(top, self._best(T, j))
-        if self._solved.all():
-            self._freeze()
+        self._low[j] = np.inf
+        self._open -= 1
+        if not self._open:
+            _read_only(self._energy)
+            _read_only(self._moments)
 
-    def _solve_window_chunk(self, t: np.ndarray) -> np.ndarray:
-        """``_solve_window`` at every positive T of t at once; the tops.
+    @property
+    def _complete(self) -> bool:
+        return not self._open
 
-        A fixed point over the sub-blocks' bounds: each round solves every
-        unsolved sub-block that comes within the cut of the solved top at
-        some T, until none does.  Returns that top, the largest log-weight
-        of a level, at each T.
+    @property
+    def _solved(self) -> np.ndarray:
+        """Whether each sub-block has any level solved."""
+        return self._ground < np.inf
+
+    def _log_weights(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """ln Y - E/T per sub-block (rows, energies e) and T of t (columns).
+
+        At T = 0, which comes alone (``t == [0]``), it is -E, the order of
+        the ground manifold.
         """
+        if t[0] == 0:
+            return -e[:, None]
+        return self._sub_log_mult[:, None] - e[:, None] / t
+
+    def _solve_window(self, t: np.ndarray) -> np.ndarray:
+        """Solve every level that can lie inside the window at some T of t.
+
+        A fixed point over the bounds on the sub-blocks' lowest unsolved
+        levels: each round advances every sub-block whose bound comes
+        within the window of the top at some T, until none does; the first
+        starts from the best bound.  The others stay out as the top grows,
+        so a round that completes every sub-block it advances is the last.
+        Returns the top, the largest log-weight of a level at each T:
+        within a sub-block Y is fixed, so it is that of a ground level.
+        """
+        width = (GROUND_DEGENERACY_RTOL * self.params.v_x if t[0] == 0
+                 else self._cut)
+        settled = False
         while True:
-            best = self._sub_log_mult[:, None] - self._low[:, None] / t
-            if not self._solved.any():  # start from the best bound
-                self._solve(int(best[:, 0].argmax()))
+            top = self._log_weights(self._ground, t).max(axis=0)
+            if settled or self._complete:
+                return top
+            best = self._log_weights(self._low, t)
+            if top[0] == -np.inf:  # nothing solved yet
+                self._advance(int(best[:, 0].argmax()))
                 continue
-            top = np.where(self._solved[:, None], best, -np.inf).max(axis=0)
-            reach = ~self._solved[:, None] & (best >= top - self._cut)
-            todo = np.flatnonzero(reach.any(axis=1))
+            todo = np.flatnonzero((best >= top - width).any(axis=1))
             if not len(todo):
                 return top
             for j in todo:
-                self._solve(j)
-            if self._solved.all():
-                self._freeze()
+                self._advance(j)
+            settled = (self._low[todo] == np.inf).all()
+
+    def _solve_lowest(self, count: int) -> None:
+        """Solve the ``count`` lowest levels and every level tied with them.
+
+        Advances stages, lowest bound first, until the ``count`` lowest
+        solved levels lie strictly below every unsolved level's bound.
+        """
+        count = min(count, len(self._energy))
+        while not self._complete:
+            kth = np.partition(self._energy, count - 1)[count - 1]
+            j = int(self._low.argmin())
+            if self._low[j] > kth:
+                return
+            self._advance(j)
+
+    def _solve_all(self) -> None:
+        for j in np.flatnonzero(self._low < np.inf):
+            while self._low[j] < np.inf:
+                self._advance(j)
 
     def _thermal_moments(self, temps) -> np.ndarray:
         """Weighted moments (m2x, m2y, m2z, m1z), one column per positive T.
 
         The batched twin of ``_weights``: temperatures go in chunks of
         ``_SCAN_CHUNK``, and each column keeps its own top and zeroes the
-        levels more than the cut below it, so it depends on (params, T)
-        alone and matches ``thermal_observables`` to rounding.
+        levels more than the cut below it, so the result depends on
+        (params, temps) alone, not on earlier calls, and matches
+        ``thermal_observables`` to rounding.
         """
         temps = np.asarray(temps, dtype=float)
         if not np.all(temps > 0):
@@ -263,7 +319,7 @@ class Spectra:
 
     def _chunk_moments(self, t: np.ndarray) -> np.ndarray:
         """``_thermal_moments`` for one chunk of temperatures."""
-        top = self._solve_window_chunk(t)
+        top = self._solve_window(t)
         # ln Y - E/T is linear in 1/T, so a level peaks over the chunk at its
         # coldest or hottest T; the slack of 1 absorbs rounding
         e, lm = self._energy, self.log_mult
@@ -273,6 +329,10 @@ class Spectra:
         a = np.divide(e.take(idx), t[:, None])
         np.subtract(lm.take(idx), a, out=a)
         a -= a.max(axis=1, keepdims=True)
+        # only levels inside the window at some T: which other levels
+        # earlier calls solved must not change the sums' rounding
+        keep = (a >= -self._cut).any(axis=0)
+        a, idx = a[:, keep], idx[keep]
         drop = a < -self._cut
         w = np.exp(a, out=a)
         w[drop] = 0.0
@@ -280,17 +340,6 @@ class Spectra:
         # resident BLAS level-3 code and buffers that nothing else here uses
         return np.array([w @ m.take(idx) for m in self._moments]
                         ) / w.sum(axis=1)
-
-    def _freeze(self) -> None:
-        self._complete = True
-        _read_only(self._energy)
-        _read_only(self._moments)
-
-    def _solve_all(self) -> None:
-        if not self._complete:
-            for j in np.flatnonzero(~self._solved):
-                self._solve(j)
-            self._freeze()
 
     def _weights(self, T: float) -> tuple[np.ndarray, float]:
         """Per-level weights Y e^(-E/T) / e^top and top = their largest log.
@@ -300,7 +349,8 @@ class Spectra:
         """
         if T < 0:
             raise ValueError("temperature must be nonnegative")
-        self._solve_window(T)
+        if not self._complete:
+            self._solve_window(np.array([T], dtype=float))
         e = self._energy
         if T == 0:
             tol = GROUND_DEGENERACY_RTOL * self.params.v_x
@@ -367,8 +417,8 @@ class Spectra:
 
     @property
     def ground_energy(self) -> float:
-        self._solve_window(0.0)
-        return float(self._energy.min())
+        self._solve_window(np.zeros(1))
+        return float(self._ground.min())
 
 
 @lru_cache(maxsize=4)
@@ -568,8 +618,12 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int, parity: int,
                          & (spectra.k_index == k))
     if len(hit) != 1:
         raise ValueError(f"no level with 2S={two_s}, k={k}, parity={parity:+d}")
-    spectra._solve_all()
-    corr = _correlators(spectra._moments[:, hit[0]].tolist(), n)
+    # advance only the level's own sub-block, as far as the level
+    i = int(hit[0])
+    j = int(np.searchsorted(spectra._start, i, side="right")) - 1
+    while spectra._energy[i] == np.inf:
+        spectra._advance(j)
+    corr = _correlators(spectra._moments[:, i].tolist(), n)
     return concurrence(pair_density(corr, n), formation=formation)
 
 
@@ -624,10 +678,11 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
     """All temperature intervals where C_+ > 0 and where C_- > 0.
 
     Scans a geometric grid of ``LIMIT_SCAN_POINTS`` temperatures in
-    [1e-4, t_max] v_x (refined linearly at low T just above the factorizing
-    field, where a narrow reentrant antiparallel window can hide between
-    grid points) and polishes every sign change to 1e-5 v_x; a node where
-    C_pm is exactly 0 is itself an interval end (``roots._sign_changes``).
+    [1e-4, t_max] v_x and polishes every sign change to 1e-5 v_x; a node
+    where C_pm is exactly 0 is itself an interval end
+    (``roots._sign_changes``).  On 40 seeded draws at n <= 60, ten of them
+    just above the factorizing field, the intervals match a 20 000-point
+    scan (``tests/test_roots.py``).
     The grid is tabulated in one batched pass (``_signed_c_on_grid``); only
     the bracket polish and the T = 0 value evaluate point by point.
     An interval starting at the bottom of the window is extended to T = 0
@@ -637,14 +692,6 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
     spectra = diagonalize(p)
     vx = p.v_x
     grid = np.geomspace(1e-4 * vx, t_max * vx, LIMIT_SCAN_POINTS)
-    d = p.v_x - p.v_z
-    chi = p.chi
-    if d > 0 and 0.0 < chi < 1.0:
-        b_s = d * math.sqrt(chi)
-        if b_s < p.b < b_s + 0.05 * d:
-            extra = np.linspace(1e-4, 0.05, 1500) * vx
-            grid = np.unique(np.concatenate([grid, extra]))
-
     c0 = _signed_c_of_t(spectra, 0.0)
     vals = _signed_c_on_grid(spectra, grid)
     xtol = 1e-5 * vx
@@ -680,9 +727,11 @@ def spectrum_low(spectra: Spectra, count: int) -> list[tuple[int, int, int, floa
 
     Returns (two_s, k, parity, delta_e) tuples sorted by excitation energy;
     the ground level itself is excluded but its (near-)degenerate partners
-    are kept, with delta_e ~ 0.
+    are kept, with delta_e ~ 0.  Solves only as much of the spectrum as
+    the ``count + 1`` lowest levels need.
     """
-    e = spectra.energy
+    spectra._solve_lowest(count + 1)
+    e = spectra._energy
     order = np.argsort(e, kind="stable")
     ground = order[0]
     rows = []

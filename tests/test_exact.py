@@ -42,7 +42,7 @@ from fcspin import (
 )
 import fcspin.exact
 from fcspin.exact import (GROUND_DEGENERACY_RTOL, _signed_c_of_t,
-                          _signed_c_on_grid, _solve_tridiagonal)
+                          _signed_c_on_grid, _solve_stage)
 from fcspin.roots import _sign_changes
 from fcspin.spin_algebra import off_diagonal_scale, sub_block_elements
 from tests.conftest import draw_params, draw_temperature
@@ -566,29 +566,36 @@ def _per_sector_reference(p: ModelParams) -> dict:
     """Flat arrays from one SpinBlock/ParityBlocks pair per sector.
 
     The construction the flat build replaced: every sub-block solved in
-    full, with the same solver and moment expressions, kept as reference.
+    full, stage by stage, with the same solver and moment expressions,
+    kept as reference.
     """
     out = {k: [] for k in ("_low", "log_mult", "two_s", "parity", "k_index",
                            "energy", "m2x", "m2y", "m2z", "m1z")}
     for ts in sector_spins(p.n):
         split = parity_split(build_block(p, ts))
         for sub in split.blocks:
-            w, v = _solve_tridiagonal(sub.diag, sub.off)
-            pr = v * v
-            m = sub.m_values
-            mz2 = (m * m) @ pr
-            pp = 2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1 else 0.0
-            s = ts / 2.0
-            half = 0.5 * (s * (s + 1.0) - mz2)
             for k, a in (("_low", [_block_bound(sub)]),
                          ("log_mult", np.full(sub.dim,
                                               math.log(split.multiplicity))),
                          ("two_s", np.full(sub.dim, ts)),
                          ("parity", np.full(sub.dim, sub.parity)),
-                         ("k_index", np.arange(sub.dim)), ("energy", w),
-                         ("m2x", half + 0.25 * pp), ("m2y", half - 0.25 * pp),
-                         ("m2z", mz2), ("m1z", m @ pr)):
+                         ("k_index", np.arange(sub.dim))):
                 out[k].append(np.asarray(a))
+            solved = 0
+            while solved < sub.dim:
+                w, v = _solve_stage(sub.diag, sub.off, solved)
+                solved += len(w)
+                pr = v * v
+                m = sub.m_values
+                mz2 = (m * m) @ pr
+                pp = (2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1
+                      else 0.0)
+                s = ts / 2.0
+                half = 0.5 * (s * (s + 1.0) - mz2)
+                for k, a in (("energy", w), ("m2x", half + 0.25 * pp),
+                             ("m2y", half - 0.25 * pp), ("m2z", mz2),
+                             ("m1z", m @ pr)):
+                    out[k].append(np.asarray(a))
     return {k: np.concatenate(v) for k, v in out.items()}
 
 
@@ -626,6 +633,17 @@ def test_flat_build_matches_the_per_sector_build(p, chunk, monkeypatch):
             assert getattr(sec, k).tobytes() == want[k][lo:hi].tobytes(), k
         lo = hi
     assert lo == len(sp.energy)
+
+
+@pytest.mark.parametrize("p", [ModelParams(n=11, b=0.7, v_x=1.3, v_y=1.3,
+                                            v_z=-0.6),
+                                draw_params(np.random.default_rng(79), 130)],
+                         ids=lambda p: f"n{p.n}-b{p.b:.2f}")
+def test_staged_flat_build_matches_the_per_sector_build(p, monkeypatch):
+    # with small stages, so that the blocks solve in two calls
+    monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 4)
+    monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 2)
+    test_flat_build_matches_the_per_sector_build(p, None, monkeypatch)
 
 
 def test_limit_temperatures_leaves_no_spectrum_alive():
@@ -709,3 +727,194 @@ def test_cached_arrays_are_read_only():
     again = diagonalize(p)
     for f, v in before.items():
         assert np.array_equal(getattr(again, f), v), f
+
+
+# ---------------------------------------------------------------------------
+# staged sub-block solves: the lowest levels first, the rest on demand
+
+
+@pytest.fixture
+def small_stages(monkeypatch):
+    """Stage every sub-block of 8 or more levels, its lowest 3 first."""
+    monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 8)
+    monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 3)
+
+
+def _plain_solve(sp, j):
+    """Sub-block j's levels and moments from one full stemr solve; its norm."""
+    lo, hi = sp._start[j], sp._start[j + 1]
+    diag, plus2 = sp._diag[lo:hi], sp._plus2[lo:hi - 1]
+    off = sp._off_scale * plus2
+    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    s = sp._sub_two_s[j] / 2.0
+    m = np.arange(sp._sub_first[j] - s, s + 1.0, 2.0)
+    pr = v * v
+    mz2 = (m * m) @ pr
+    pp = 2.0 * (plus2 @ (v[:-1] * v[1:]))
+    half = 0.5 * (s * (s + 1.0) - mz2)
+    radius = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+    norm = float(np.max(np.abs(diag) + radius))
+    return w, np.array([half + 0.25 * pp, half - 0.25 * pp, mz2, m @ pr]), norm
+
+
+def _assert_staged_matches_plain(sp, blocks):
+    # worst seen on these draws: 4e-14 of the block norm (energies) and
+    # 1.3e-13 of S(S+1) (moments)
+    staged = 0
+    for j in blocks:
+        lo, hi = sp._start[j], sp._start[j + 1]
+        if hi - lo < fcspin.exact._STAGED_DIM:
+            continue
+        while sp._low[j] < np.inf:
+            sp._advance(j)
+        w, moments, norm = _plain_solve(sp, j)
+        s = sp._sub_two_s[j] / 2.0
+        assert np.max(np.abs(sp._energy[lo:hi] - w)) <= 1e-12 * norm, j
+        assert (np.max(np.abs(sp._moments[:, lo:hi] - moments))
+                <= 1e-11 * s * (s + 1.0)), j
+        staged += 1
+    assert staged
+
+
+def test_staged_solves_match_the_plain_full_solve(small_stages):
+    rng = np.random.default_rng(97)
+    for n in (20, 60, 150, 300):
+        for _ in range(2):
+            p = draw_params(rng, n)
+            for q in (p, p.with_field(0.0)):
+                sp = Spectra(q)
+                _assert_staged_matches_plain(sp, range(len(sp._solved)))
+
+
+def test_staged_solves_match_the_plain_full_solve_at_full_size():
+    # the stage sizes as shipped, on the four largest sub-blocks of n = 600
+    rng = np.random.default_rng(101)
+    p = draw_params(rng, 600)
+    for q in (p, p.with_field(0.0)):
+        _assert_staged_matches_plain(Spectra(q), range(4))
+
+
+@pytest.mark.parametrize("p", list(_window_draws())[4:],
+                         ids=lambda p: f"n{p.n}-b{p.b:.2f}")
+def test_staged_window_matches_full_spectrum(p, monkeypatch):
+    # against sub-blocks solved whole: the bound on a staged sub-block's
+    # next level must keep every level inside the window solved
+    full = Spectra(p)
+    full.energy
+    monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 8)
+    monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 3)
+    for t in (0.0, 0.05, 0.2, 1.0, 5.0):
+        T = t * p.v_x
+        windowed = Spectra(p)
+        ln_z = log_partition(windowed, T)
+        corr = thermal_observables(windowed, T)
+        want_ln_z, want = _unpruned(full, T)
+        assert math.isclose(ln_z, want_ln_z, rel_tol=1e-12, abs_tol=1e-12)
+        for f, v in want.items():
+            assert abs(getattr(corr, f) - v) <= 1e-12, (T, f)
+
+
+def test_staged_bound_is_below_the_next_level(small_stages):
+    rng = np.random.default_rng(109)
+    for n in (16, 60, 201):
+        p = draw_params(rng, n)
+        for q in (p, p.with_field(0.0)):
+            sp = Spectra(q)
+            for j in np.flatnonzero(np.diff(sp._start) >= 8):
+                sp._advance(j)
+                bound = sp._low[j]
+                sp._advance(j)
+                # the prefix's last level, widened by the backward error
+                last = sp._energy[sp._start[j] + 2]
+                assert last - sp._slack[j] <= bound <= last
+
+
+def _staged_blocks(sp) -> np.ndarray:
+    """Sub-blocks with their prefix solved and the rest not."""
+    return np.flatnonzero(sp._solved & (sp._low < np.inf))
+
+
+def test_staged_results_do_not_depend_on_earlier_temperatures(small_stages):
+    # the scalar path, with sub-blocks crossing from prefix to complete
+    p = ModelParams(n=300, b=0.6, v_x=1.0, v_y=-0.3, v_z=0.2)
+    cold, warm = 0.1, 0.6
+    sp = Spectra(p)
+    got_cold = (thermal_observables(sp, cold), log_partition(sp, cold))
+    prefix = _staged_blocks(sp)
+    assert len(prefix)
+    got_warm = (thermal_observables(sp, warm), log_partition(sp, warm))
+    assert not set(prefix) & set(_staged_blocks(sp))  # now complete
+    again = (thermal_observables(sp, cold), log_partition(sp, cold))
+    fresh = Spectra(p)
+    assert (thermal_observables(fresh, warm), log_partition(fresh, warm)
+            ) == got_warm
+    assert got_cold == again
+    for T in (0.0, cold):
+        assert thermal_observables(Spectra(p), T) == thermal_observables(sp, T)
+    assert Spectra(p).ground_energy == sp.ground_energy
+
+
+def test_staged_batched_results_do_not_depend_on_earlier_temperatures(
+        small_stages):
+    p = ModelParams(n=300, b=0.6, v_x=1.0, v_y=-0.3, v_z=0.2)
+    cold = np.geomspace(0.02, 0.1, 40)
+    warm = np.geomspace(0.1, 0.8, 40)
+    sp = Spectra(p)
+    got_cold = sp._thermal_moments(cold)
+    prefix = _staged_blocks(sp)
+    assert len(prefix)
+    got_warm = sp._thermal_moments(warm)
+    assert not set(prefix) & set(_staged_blocks(sp))
+    thermal_observables(sp, 1.5)  # and the scalar path further out
+    assert np.array_equal(sp._thermal_moments(cold), got_cold)
+    assert np.array_equal(Spectra(p)._thermal_moments(warm), got_warm)
+
+
+def test_cold_window_solves_few_levels_at_n2000():
+    # the lowest levels of the large sub-blocks carry the weight at low T
+    sp = Spectra(ModelParams.from_chi(2000, 0.5, 0.5))
+    thermal_observables(sp, 0.14)
+    touched = int(np.diff(sp._start)[sp._solved].sum())
+    solved = int(np.isfinite(sp._energy).sum())
+    assert 0 < solved < 0.05 * touched
+
+
+def test_level_concurrence_solves_only_the_levels_sub_block():
+    sp = Spectra(ModelParams.from_chi(1000, 0.5, 0.5))
+    rep = level_concurrence(sp, 1000, 0, 1)
+    assert sp._solved.sum() == 1
+    assert rep == level_concurrence(sp, 1000, 0, 1)
+
+
+def test_level_concurrence_matches_the_solved_spectrum(small_stages):
+    # each level has a fixed source, so a lone sub-block gives it bitwise
+    rng = np.random.default_rng(103)
+    for n in (9, 40, 300):
+        p = draw_params(rng, n)
+        full = Spectra(p)
+        full.energy  # every stage of every sub-block
+        for two_s, k, parity in ((n, 0, 1), (n, 4, -1), (n - 2, 2, 1),
+                                 (n, n // 2, 1), (n - 2, 1, -1)):
+            rep = level_concurrence(Spectra(p), two_s, k, parity)
+            assert rep == level_concurrence(full, two_s, k, parity)
+
+
+def test_spectrum_low_matches_the_solved_spectrum(small_stages):
+    # rows bitwise, ties included: v_x = v_y at b = 0 makes every sub-block
+    # diagonal and doubles its levels across parities
+    rng = np.random.default_rng(107)
+    draws = [ModelParams(n=40, b=0.0, v_x=1.0, v_y=1.0, v_z=0.3),
+             ModelParams.from_chi(60, 0.0, 0.5)]
+    draws += [draw_params(rng, n) for n in (7, 50, 200)]
+    for p in draws:
+        full = Spectra(p)
+        e = full.energy
+        order = np.argsort(e, kind="stable")
+        for count in (1, 6, 40, len(e)):
+            want = [(int(full.two_s[i]), int(full.k_index[i]),
+                     int(full.parity[i]), float(e[i] - e[order[0]]))
+                    for i in order[1:count + 1]]
+            sp = Spectra(p)
+            assert spectrum_low(sp, count) == want, (p, count)
+            if count < 40 and p.n >= 50:
+                assert not sp._complete

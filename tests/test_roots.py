@@ -108,16 +108,58 @@ def _spy(monkeypatch, module) -> list[int]:
     return sizes
 
 
-def test_limit_temperatures_patch_branch(monkeypatch):
-    # just above the factorizing field the geometric grid gets a 1500-point
-    # linear patch at low T
+def test_limit_temperatures_just_above_the_factorizing_field(monkeypatch):
+    # b_s = sqrt(0.5) < b < b_s + 0.05 v_x: the plain 400-point grid
+    # resolves the low-T window
     sizes = _spy(monkeypatch, fcspin.exact)
     lt = limit_temperatures(ModelParams.from_chi(100, 0.72, 0.5))
-    assert sizes and all(s > 1800 for s in sizes)
+    assert sizes == [fcspin.exact.LIMIT_SCAN_POINTS] * 2
     assert lt.minus == ()
     (lo, hi), = lt.plus
     assert lo == 0.0
     assert math.isclose(hi, 0.10188299219423406, rel_tol=1e-12)
+
+
+def _positive_runs(grid, values) -> list[tuple[float, float, float, float]]:
+    """Brackets (lo_a, lo_b, hi_a, hi_b) of the edges of each positive run."""
+    pos = np.append(np.insert(values > 0, 0, False), False).astype(int)
+    starts = np.flatnonzero(np.diff(pos) == 1)
+    ends = np.flatnonzero(np.diff(pos) == -1) - 1
+    last = len(grid) - 1
+    return [(grid[max(a - 1, 0)], grid[a], grid[b], grid[min(b + 1, last)])
+            for a, b in zip(starts, ends)]
+
+
+def test_limit_temperatures_match_a_dense_scan():
+    # every interval edge lies in the bracket of a 20 000-point geometric
+    # scan of the batched core, to xtol, on seeded draws; a quarter of them
+    # at b_s < b < b_s + 0.1 (v_x - v_z), just above the factorizing field
+    rng = np.random.default_rng(89)
+    fine = np.geomspace(1e-4, 2.0, 20_000)
+    windows = 0
+    for i in range(40):
+        n, chi = int(rng.integers(4, 61)), float(rng.uniform(0.05, 0.95))
+        v_z = float(rng.uniform(-0.5, 0.5))
+        p = ModelParams.from_chi(n, 0.0, chi, v_z=v_z)
+        d = p.v_x - p.v_z
+        b_s = d * math.sqrt(chi)
+        b = (b_s + d * 10 ** float(rng.uniform(-3.0, -1.0)) if i % 4 == 0
+             else float(rng.uniform(0.0, 2.0)) * p.v_x)
+        p = p.with_field(b)
+        xtol = 1e-5 * p.v_x
+        lt = limit_temperatures(p)
+        grid = fine * p.v_x
+        vals = fcspin.exact._signed_c_on_grid(fcspin.diagonalize(p), grid)
+        for comp, ivs in enumerate((lt.plus, lt.minus)):
+            # a sliver below the scan's first node is not the scan's to see
+            ivs = [(max(lo, grid[0]), hi) for lo, hi in ivs if hi > grid[0]]
+            runs = _positive_runs(grid, vals[:, comp])
+            assert len(ivs) == len(runs), (p, comp, ivs, runs)
+            for (lo, hi), (lo_a, lo_b, hi_a, hi_b) in zip(ivs, runs):
+                assert lo_a - xtol <= lo <= lo_b + xtol, (p, comp)
+                assert hi_a - xtol <= hi <= hi_b + xtol, (p, comp)
+            windows += len(runs)
+    assert windows >= 40
 
 
 # the closed form b_s (n + 1 - 2k)/n, k = n/2 .. 1, with b_s = sqrt(chi)
