@@ -32,8 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-# not called: perfbench/tracer.py wraps this name as the static-path solver
-from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .errors import BreakdownError, NumericalError
 from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
@@ -50,6 +48,16 @@ __all__ = [
     "cspa_concurrence",
     "cspa_result",
 ]
+
+
+def __getattr__(name: str):
+    # not called: perfbench/tracer.py wraps ``minimize_scalar`` as the
+    # static-path solver, so the name resolves, but SciPy loads only then
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _TWO_PI = 2.0 * math.pi
 _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import InvalidStateError
 from .params import ModelParams
-from .roots import _sign_changes
+from .roots import _sign_changes, brentq
 from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
 
@@ -69,6 +67,16 @@ _BUILD_CHUNK = 1 << 18
 # their lowest _PREFIX_LEVELS levels first (see _solve_stage)
 _STAGED_DIM = 256
 _PREFIX_LEVELS = 16
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, whose import waits for a first solve.
+
+    The mean-field and static-path methods never solve a block, so
+    ``import fcspin`` loads no SciPy module.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+    return solve(*args, **kwargs)
 
 
 def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
@@ -656,8 +664,10 @@ def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
 def _signed_c_component(T: float, spectra: Spectra, comp: int) -> float:
     """C_+ (comp 0) or C_- (comp 1) at T, for ``brentq(..., args=...)``.
 
-    Not a closure over the spectrum: ``brentq`` holds its callable in a
-    reference cycle, which would keep the spectrum alive until a GC run.
+    The spectrum travels in ``args``, not in a closure: ``roots.brentq``
+    holds the callable and its arguments only in its own frame, so the
+    spectrum dies with its ``diagonalize`` cache entry, without waiting for
+    a GC run (``tests/test_exact.py`` checks this with the collector off).
     """
     return _signed_c_of_t(spectra, T)[comp]
 

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DivergenceError, NumericalError
 from .exact import Correlators
 from .params import ModelParams
-from .roots import _sign_changes
+from .roots import _sign_changes, brentq
 
 __all__ = [
     "PhaseConstants",

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DivergenceError
 from .meanfield import _is_xxz, critical_constants, solve_mean_field
 from .params import ModelParams
-from .roots import _sign_changes
+from .roots import _sign_changes, brentq
 
 __all__ = [
     "DELTA_C",

@@ -435,6 +435,24 @@ def test_incompatible_sz_raises_on_scalar_and_grid_paths():
         fcspin.exact._signed_concurrences(pair_density(grid, 10))
 
 
+def test_roundoff_negative_p_plus_p_minus_clips_to_zero():
+    # -1e-10 < p_+ p_- < 0 is roundoff: sqrt(p_+ p_-) counts as 0, not as
+    # sqrt|p_+ p_-| (about 4e-6 here), and no InvalidStateError is raised
+    tiny = Correlators(alpha_x=0.1, alpha_y=0.05, alpha_z=0.0,
+                       sz=0.25 + 4e-11)
+    pd = pair_density(tiny, 10)
+    assert -1e-10 < pd.p_plus * pd.p_minus < 0.0
+    assert concurrence(pd).c_minus == 2.0 * abs(pd.alpha_minus)
+    grid = Correlators(alpha_x=np.array([0.1, -0.2]),
+                       alpha_y=np.array([0.05, 0.1]), alpha_z=np.zeros(2),
+                       sz=0.25 + np.array([4e-11, 1e-11]))
+    pd = pair_density(grid, 10)
+    assert np.all((-1e-10 < pd.p_plus * pd.p_minus)
+                  & (pd.p_plus * pd.p_minus < 0.0))
+    c_minus = fcspin.exact._signed_concurrences(pd)[1]
+    assert np.array_equal(c_minus, 2.0 * np.abs(pd.alpha_minus))
+
+
 # ---------------------------------------------------------------------------
 # formation entanglement and limit temperatures
 

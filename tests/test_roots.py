@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 import fcspin.exact
 import fcspin.rpa
@@ -20,7 +21,7 @@ from fcspin import (
     separable_window,
     solve_mean_field,
 )
-from fcspin.roots import _sign_changes
+from fcspin.roots import _sign_changes, brentq
 
 
 def _sign(v: float) -> float:
@@ -88,6 +89,88 @@ def test_polish_solves_only_brackets():
     assert node.polish(solver, None, xtol=1.0) == 0.0
     assert bracket.polish(solver, None, xtol=1.0) == 1.5
     assert calls == [(1.0, 2.0, {"xtol": 1.0})]
+
+
+# ---------------------------------------------------------------------------
+# the in-package Brent method against SciPy's, bitwise
+
+
+def _cubic(x, r0, r1, r2):
+    return (x - r0) * (x - r1) * (x - r2)
+
+
+def _gap(lam, offset, c, T):
+    # the form of meanfield._solve_gap
+    return lam - offset - c * math.tanh(lam / (2.0 * T))
+
+
+def _exp(x, k, s):
+    return np.exp(k * x) - s  # an np.float64
+
+
+def _outcome(solver, f, a, b, **kw):
+    try:
+        return solver(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, type):
+        return got is want
+    return (type(got) is float and got == want
+            and math.copysign(1.0, got) == math.copysign(1.0, want))
+
+
+def test_brentq_is_bitwise_scipys():
+    rng = np.random.default_rng(31)
+    quarters = lambda size: tuple(rng.integers(-12, 13, size) / 4.0)
+    forms = ((_cubic, lambda: tuple(rng.normal(size=3))),
+             # on a lattice of quarters, where the method's ties happen
+             (_cubic, lambda: quarters(3)),
+             (_gap, lambda: (rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0),
+                             rng.uniform(0.01, 2.0))),
+             (_exp, lambda: (rng.uniform(0.1, 5.0), rng.uniform(0.5, 5.0))))
+    converged = 0
+    for i in range(3000):
+        f, draw = forms[i % 4]
+        args = draw()
+        a, b = ((rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0)) if i % 4 != 1
+                else quarters(2))
+        kw = dict(args=args, xtol=10.0 ** rng.uniform(-16.0, -6.0),
+                  rtol=(8.9e-16, 1e-15, 1e-10)[i // 4 % 3])
+        want = _outcome(scipy_brentq, f, a, b, **kw)
+        assert _same(_outcome(brentq, f, a, b, **kw), want), (i, kw)
+        converged += not isinstance(want, type)
+    assert converged > 1500
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: x, -0.0, 1.0),
+    (lambda x: x - 1.0, -2.0, 1.0),
+    (lambda x: np.exp(x) - 1.0, -1.0, 0.0),
+], ids=["zero-at-a", "minus-zero-at-a", "zero-at-b", "float64-zero-at-b"])
+def test_brentq_endpoint_zero_is_scipys(f, a, b):
+    assert _same(brentq(f, a, b), scipy_brentq(f, a, b))
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, {}),                  # equal signs
+    (lambda x: x - 0.3 if x != 1.0 else math.nan, 0.0, 1.0, {}),
+    (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0, {}),
+    (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
+    (lambda x: x - 0.3, 0.0, 1.0, {"xtol": -1e-12}),
+    (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 3.9 * np.finfo(float).eps}),
+    (lambda x: math.exp(x) - 2.0, 0.0, 5.0, {"maxiter": 1}),
+    (lambda x: math.exp(x) - 2.0, 0.0, 5.0, {"maxiter": 2}),
+    (lambda x: math.exp(x) - 2.0, 0.0, 5.0, {"maxiter": 3}),
+], ids=["equal-signs", "nan-at-b", "nan-inside", "xtol-0", "xtol-negative",
+        "rtol-small", "maxiter-1", "maxiter-2", "maxiter-3"])
+def test_brentq_raises_where_scipy_does(f, a, b, kw):
+    want = _outcome(scipy_brentq, f, a, b, **kw)
+    assert isinstance(want, type)
+    assert _outcome(brentq, f, a, b, **kw) is want
 
 
 # ---------------------------------------------------------------------------
