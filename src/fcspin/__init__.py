@@ -8,9 +8,7 @@ approximation, all over the same parameter type.
 from .params import ModelParams
 from .errors import (BreakdownError, DivergenceError, InvalidStateError,
                      NumericalError, SymmetryViolationError)
-from .spin_algebra import (ParityBlocks, SpinBlock, TridiagonalBlock,
-                           build_block, log_multiplicity, multiplicity,
-                           parity_split, sector_spins)
+from .spin_algebra import sector_spins
 from .exact import (ConcurrenceReport, Correlators, LimitTemperatures,
                     PairDensity, SectorSpectrum, Spectra, concurrence,
                     diagonalize, formation_entanglement, level_concurrence,
@@ -28,7 +26,7 @@ from .rpa import (DELTA_C, FactorizingField, FullConcurrence, NearCritical,
                   anomalous_tl, asymptotic_concurrence, factorizing_field,
                   full_concurrence, limit_temperature_rpa,
                   near_critical_cminus, separable_window, side_limits_at_bs)
-from .cspa import (CspaConfig, CspaResult, cspa_concurrence, cspa_integrand,
+from .cspa import (CspaConfig, CspaResult, cspa_concurrence,
                    cspa_log_integrand, cspa_log_partition, cspa_observables,
                    cspa_result)
 
@@ -38,8 +36,7 @@ __all__ = [
     "ModelParams",
     "BreakdownError", "DivergenceError", "InvalidStateError",
     "NumericalError", "SymmetryViolationError",
-    "ParityBlocks", "SpinBlock", "TridiagonalBlock", "build_block",
-    "log_multiplicity", "multiplicity", "parity_split", "sector_spins",
+    "sector_spins",
     "ConcurrenceReport", "Correlators", "LimitTemperatures", "PairDensity",
     "SectorSpectrum", "Spectra", "concurrence", "diagonalize",
     "formation_entanglement", "level_concurrence", "limit_temperatures",
@@ -55,8 +52,7 @@ __all__ = [
     "anomalous_tl", "asymptotic_concurrence", "factorizing_field",
     "full_concurrence", "limit_temperature_rpa", "near_critical_cminus",
     "separable_window", "side_limits_at_bs",
-    "CspaConfig", "CspaResult", "cspa_concurrence", "cspa_integrand",
-    "cspa_log_integrand", "cspa_log_partition", "cspa_observables",
-    "cspa_result",
+    "CspaConfig", "CspaResult", "cspa_concurrence", "cspa_log_integrand",
+    "cspa_log_partition", "cspa_observables", "cspa_result",
     "__version__",
 ]

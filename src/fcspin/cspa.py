@@ -41,7 +41,6 @@ from .params import ModelParams
 __all__ = [
     "CspaConfig",
     "CspaResult",
-    "cspa_integrand",
     "cspa_log_integrand",
     "cspa_log_partition",
     "cspa_observables",
@@ -522,14 +521,6 @@ def cspa_log_integrand(r, params: ModelParams, T: float) -> float:
     quad = sum(params.n * rv * rv / v
                for rv, v in zip(r, params.couplings) if v != 0.0)
     return -0.25 * beta * (quad + sum(params.couplings)) + float(static - phi_w)
-
-
-def cspa_integrand(r, params: ModelParams, T: float) -> float:
-    """exp of cspa_log_integrand; inf if the weight overflows a float."""
-    try:
-        return math.exp(cspa_log_integrand(r, params, T))
-    except OverflowError:
-        return math.inf
 
 
 def cspa_log_partition(params: ModelParams, T: float,

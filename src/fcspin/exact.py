@@ -179,6 +179,9 @@ class Spectra:
         # sector, but 2S = 0 has no odd half
         self._sub_two_s = np.repeat(sector_spins(n), 2)[:n + 1]
         self._sub_first = np.arange(n + 1) % 2
+        # |S,M_j> has parity (-1)^((n - 2S)/2 + j)
+        self._sub_parity = 1 - 2 * (((n - self._sub_two_s) // 2
+                                     + self._sub_first) % 2)
         dims = (self._sub_two_s - self._sub_first) // 2 + 1
         self._multiplicity = sector_multiplicities(n)
         log_y = np.array([math.log(y) for y in self._multiplicity])
@@ -401,9 +404,7 @@ class Spectra:
 
     @cached_property
     def parity(self) -> np.ndarray:
-        # |S,M_j> has parity (-1)^((n - 2S)/2 + j)
-        odd = ((self.params.n - self._sub_two_s) // 2 + self._sub_first) % 2
-        return _read_only(np.repeat(1 - 2 * odd, np.diff(self._start)))
+        return _read_only(np.repeat(self._sub_parity, np.diff(self._start)))
 
     @cached_property
     def k_index(self) -> np.ndarray:
@@ -622,13 +623,13 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int, parity: int,
     reduction applies with that eigenstate's moments.
     """
     n = spectra.params.n
-    hit = np.flatnonzero((spectra.two_s == two_s) & (spectra.parity == parity)
-                         & (spectra.k_index == k))
-    if len(hit) != 1:
+    hit = np.flatnonzero((spectra._sub_two_s == two_s)
+                         & (spectra._sub_parity == parity))
+    if len(hit) != 1 or k not in range(np.diff(spectra._start)[hit[0]]):
         raise ValueError(f"no level with 2S={two_s}, k={k}, parity={parity:+d}")
     # advance only the level's own sub-block, as far as the level
-    i = int(hit[0])
-    j = int(np.searchsorted(spectra._start, i, side="right")) - 1
+    j = int(hit[0])
+    i = int(spectra._start[j] + k)
     while spectra._energy[i] == np.inf:
         spectra._advance(j)
     corr = _correlators(spectra._moments[:, i].tolist(), n)
@@ -743,12 +744,13 @@ def spectrum_low(spectra: Spectra, count: int) -> list[tuple[int, int, int, floa
     spectra._solve_lowest(count + 1)
     e = spectra._energy
     order = np.argsort(e, kind="stable")
-    ground = order[0]
-    rows = []
-    for i in order[1:count + 1]:
-        rows.append((int(spectra.two_s[i]), int(spectra.k_index[i]),
-                     int(spectra.parity[i]), float(e[i] - e[ground])))
-    return rows
+    idx = order[1:count + 1]
+    # label each level by its sub-block j, found from the offsets
+    j = np.searchsorted(spectra._start, idx, side="right") - 1
+    return [(int(ts), int(k), int(par), float(e[i] - e[order[0]]))
+            for i, ts, k, par in zip(idx, spectra._sub_two_s[j],
+                                     idx - spectra._start[j],
+                                     spectra._sub_parity[j])]
 
 
 def parity_transitions(params: ModelParams,

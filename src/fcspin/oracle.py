@@ -50,7 +50,12 @@ def _site_op(op: np.ndarray, i: int, n: int) -> np.ndarray:
 
 
 def _collective(op: np.ndarray, n: int) -> np.ndarray:
-    return sum(_site_op(op, i, n) for i in range(n))
+    # C_k = C_(k-1) x 1 + 1 x op appends the k-th site; its entries are sums
+    # of exact halves, equal to the site-by-site sum's up to the sign of zero
+    c = op
+    for k in range(1, n):
+        c = np.kron(c, _ID) + np.kron(np.eye(2 ** k), op)
+    return c
 
 
 def full_hamiltonian(params: ModelParams, form: str = "collective") -> np.ndarray:

@@ -19,7 +19,6 @@ from fcspin import (
     InvalidStateError,
     ModelParams,
     Spectra,
-    build_block,
     concurrence,
     diagonalize,
     factorizing_field,
@@ -28,12 +27,10 @@ from fcspin import (
     level_concurrence,
     limit_temperatures,
     log_partition,
-    multiplicity,
     oracle_concurrence,
     oracle_log_partition,
     oracle_observables,
     pair_density,
-    parity_split,
     parity_transitions,
     sector_spins,
     spectrum_low,
@@ -41,11 +38,12 @@ from fcspin import (
     thermal_observables,
 )
 import fcspin.exact
-from fcspin.exact import (GROUND_DEGENERACY_RTOL, _signed_c_of_t,
-                          _signed_c_on_grid, _solve_stage)
+from fcspin.exact import (GROUND_DEGENERACY_RTOL, _correlators,
+                          _signed_c_of_t, _signed_c_on_grid, _solve_stage)
 from fcspin.roots import _sign_changes
 from fcspin.spin_algebra import off_diagonal_scale, sub_block_elements
-from tests.conftest import draw_params, draw_temperature
+from tests.conftest import (draw_params, draw_temperature, multiplicity,
+                            parity_halves)
 
 ATOL = 1e-9
 
@@ -216,15 +214,11 @@ def test_parity_transitions_count_and_accumulation():
 
 def _reference_parity_gap(params: ModelParams, b: float) -> float:
     """E0(even) - E0(odd) of the maximum-spin block rebuilt at field b."""
-    block = build_block(params.with_field(b), params.n)
     lows = {}
-    for sub in parity_split(block).blocks:
-        if sub.dim == 1:
-            lows[sub.parity] = float(sub.diag[0])
-        else:
-            w = eigh_tridiagonal(sub.diag, sub.off, eigvals_only=True,
-                                 select="i", select_range=(0, 0))
-            lows[sub.parity] = float(w[0])
+    for parity, _, diag, _, off in parity_halves(params.with_field(b),
+                                                  params.n):
+        lows[parity] = float(diag[0] if len(diag) == 1 else eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
     return lows[1] - lows[-1]
 
 
@@ -539,19 +533,20 @@ def test_window_solves_few_sectors_when_cold():
     assert 0 < sp._solved.sum() < 0.2 * len(sp._solved)
 
 
-def _block_bound(sub) -> float:
+def _block_bound(diag, off) -> float:
     """Per-block statement of the Gershgorin bound the spectra vectorize."""
-    radius = np.zeros(sub.dim)
-    radius[:-1] += np.abs(sub.off)
-    radius[1:] += np.abs(sub.off)
-    norm = float(np.max(np.abs(sub.diag) + radius))
+    radius = np.zeros(len(diag))
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    norm = float(np.max(np.abs(diag) + radius))
     eps = np.finfo(float).eps
-    return float(np.min(sub.diag - radius)) - sub.dim * eps * norm
+    return float(np.min(diag - radius)) - len(diag) * eps * norm
 
 
 def _sub_blocks(p):
-    return [sub for ts in sector_spins(p.n)
-            for sub in parity_split(build_block(p, ts)).blocks]
+    """(diag, off) of every parity sub-block, in closed form, in level order."""
+    return [(diag, off) for ts in sector_spins(p.n)
+            for _, _, diag, _, off in parity_halves(p, ts)]
 
 
 def test_level_bound_is_below_the_lowest_level():
@@ -561,10 +556,10 @@ def test_level_bound_is_below_the_lowest_level():
             p = draw_params(rng, n)
             sp = Spectra(p)
             bounds = sp._low.copy()  # before any solve
-            for j, sub in enumerate(_sub_blocks(p)):
+            for j, (diag, off) in enumerate(_sub_blocks(p)):
                 solved = sp.energy[sp._start[j]]  # lowest level of block j
-                lowest = (sub.diag[0] if sub.dim == 1 else
-                          eigvalsh_tridiagonal(sub.diag, sub.off)[0])
+                lowest = (diag[0] if len(diag) == 1 else
+                          eigvalsh_tridiagonal(diag, off)[0])
                 assert bounds[j] <= solved and bounds[j] <= lowest
 
 
@@ -576,38 +571,33 @@ def test_level_bounds_equal_the_per_block_formula():
     draws += [draw_params(rng, int(n)) for n in rng.integers(1, 301, 12)]
     draws += [d.with_field(0.0) for d in draws[-4:]]
     for p in draws:
-        want = [_block_bound(sub) for sub in _sub_blocks(p)]
+        want = [_block_bound(*sub) for sub in _sub_blocks(p)]
         assert Spectra(p)._low.tolist() == want, p
 
 
 def _per_sector_reference(p: ModelParams) -> dict:
-    """Flat arrays from one SpinBlock/ParityBlocks pair per sector.
-
-    The construction the flat build replaced: every sub-block solved in
-    full, stage by stage, with the same solver and moment expressions,
-    kept as reference.
-    """
+    """Flat arrays from the closed-form parity halves of each sector, each
+    solved in full, stage by stage, with the flat build's solver and moment
+    expressions."""
     out = {k: [] for k in ("_low", "log_mult", "two_s", "parity", "k_index",
                            "energy", "m2x", "m2y", "m2z", "m1z")}
     for ts in sector_spins(p.n):
-        split = parity_split(build_block(p, ts))
-        for sub in split.blocks:
-            for k, a in (("_low", [_block_bound(sub)]),
-                         ("log_mult", np.full(sub.dim,
-                                              math.log(split.multiplicity))),
-                         ("two_s", np.full(sub.dim, ts)),
-                         ("parity", np.full(sub.dim, sub.parity)),
-                         ("k_index", np.arange(sub.dim))):
+        ln_y = math.log(multiplicity(p.n, ts))
+        for parity, m, diag, ladder, off in parity_halves(p, ts):
+            dim = len(diag)
+            for k, a in (("_low", [_block_bound(diag, off)]),
+                         ("log_mult", np.full(dim, ln_y)),
+                         ("two_s", np.full(dim, ts)),
+                         ("parity", np.full(dim, parity)),
+                         ("k_index", np.arange(dim))):
                 out[k].append(np.asarray(a))
             solved = 0
-            while solved < sub.dim:
-                w, v = _solve_stage(sub.diag, sub.off, solved)
+            while solved < dim:
+                w, v = _solve_stage(diag, off, solved)
                 solved += len(w)
                 pr = v * v
-                m = sub.m_values
                 mz2 = (m * m) @ pr
-                pp = (2.0 * (sub.plus2 @ (v[:-1] * v[1:])) if sub.dim > 1
-                      else 0.0)
+                pp = 2.0 * (ladder @ (v[:-1] * v[1:])) if dim > 1 else 0.0
                 s = ts / 2.0
                 half = 0.5 * (s * (s + 1.0) - mz2)
                 for k, a in (("energy", w), ("m2x", half + 0.25 * pp),
@@ -905,16 +895,25 @@ def test_level_concurrence_solves_only_the_levels_sub_block():
 
 
 def test_level_concurrence_matches_the_solved_spectrum(small_stages):
-    # each level has a fixed source, so a lone sub-block gives it bitwise
+    # each level has a fixed source, so a lone sub-block gives it bitwise;
+    # found from the sub-block offsets, it is the level that the flat label
+    # arrays name, and those arrays stay unbuilt
     rng = np.random.default_rng(103)
     for n in (9, 40, 300):
         p = draw_params(rng, n)
         full = Spectra(p)
         full.energy  # every stage of every sub-block
-        for two_s, k, parity in ((n, 0, 1), (n, 4, -1), (n - 2, 2, 1),
-                                 (n, n // 2, 1), (n - 2, 1, -1)):
-            rep = level_concurrence(Spectra(p), two_s, k, parity)
-            assert rep == level_concurrence(full, two_s, k, parity)
+        for i in rng.choice(len(full.energy), 10, replace=False):
+            level = [int(a[i]) for a in (full.two_s, full.k_index, full.parity)]
+            corr = _correlators(full._moments[:, i].tolist(), n)
+            sp = Spectra(p)
+            assert level_concurrence(sp, *level) == concurrence(
+                pair_density(corr, n))
+        for bad in ((n, n // 2 + 1, 1), (n, -1, 1), (n, 0, 0), (n - 1, 0, 1)):
+            with pytest.raises(ValueError, match="no level"):
+                level_concurrence(sp, *bad)
+        spectrum_low(sp, 20)
+        assert not {"two_s", "parity", "k_index"} & vars(sp).keys()
 
 
 def test_spectrum_low_matches_the_solved_spectrum(small_stages):

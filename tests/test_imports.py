@@ -1,14 +1,16 @@
-"""Import hygiene: SciPy loads only where a method calls into it.
+"""Import hygiene: every export resolves; SciPy loads only where called.
 
 ``import fcspin`` loads no SciPy module; the mean-field and static-path
 methods run without one, and the exact path loads ``scipy.linalg`` on its
-first tridiagonal solve.  Each check runs in a fresh interpreter.
+first tridiagonal solve.  Each SciPy check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,14 @@ def _scipy_after(code: str) -> list[str]:
         text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_export_resolves():
+    # a stale name in an __all__ otherwise fails only under import *
+    for mod in [fcspin] + [importlib.import_module(f"fcspin.{m.name}")
+                           for m in pkgutil.iter_modules(fcspin.__path__)]:
+        stale = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert not stale, (mod.__name__, stale)
 
 
 def test_import_loads_no_scipy():
