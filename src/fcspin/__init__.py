@@ -26,9 +26,8 @@ from .rpa import (DELTA_C, FactorizingField, FullConcurrence, NearCritical,
                   anomalous_tl, asymptotic_concurrence, factorizing_field,
                   full_concurrence, limit_temperature_rpa,
                   near_critical_cminus, separable_window, side_limits_at_bs)
-from .cspa import (CspaConfig, CspaResult, cspa_concurrence,
-                   cspa_log_integrand, cspa_log_partition, cspa_observables,
-                   cspa_result)
+from .cspa import (CspaResult, cspa_concurrence, cspa_log_integrand,
+                   cspa_log_partition, cspa_observables, cspa_result)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "anomalous_tl", "asymptotic_concurrence", "factorizing_field",
     "full_concurrence", "limit_temperature_rpa", "near_critical_cminus",
     "separable_window", "side_limits_at_bs",
-    "CspaConfig", "CspaResult", "cspa_concurrence", "cspa_log_integrand",
+    "CspaResult", "cspa_concurrence", "cspa_log_integrand",
     "cspa_log_partition", "cspa_observables", "cspa_result",
     "__version__",
 ]

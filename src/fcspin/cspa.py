@@ -39,7 +39,6 @@ from .meanfield import _fd_stencil
 from .params import ModelParams
 
 __all__ = [
-    "CspaConfig",
     "CspaResult",
     "cspa_log_integrand",
     "cspa_log_partition",
@@ -70,24 +69,16 @@ _OTHERS = ((1, 2), (2, 0), (0, 1))
 # one-sided at v_y = -v_x: the curvature stencil of the sweep leaves ~1e-10
 # relative noise in ln Z, which a shorter step amplifies past 1e-5 in alpha
 _DEFORMED_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class CspaConfig:
-    """Quadrature resolution and validity policy.
-
-    Node counts are per axis; the count doubles until ln Z moves by less than
-    ``rel_tol`` (relative).  ``cutoff_sigmas`` fixes the integration cutoff
-    r_max = v_mu + cutoff_sigmas * sqrt(v_mu/(beta n)) per axis, which covers
-    the static saddle (always inside |r_mu| <= v_mu) plus the Gaussian tail;
-    the bare-Gaussian mass outside is < 1e-12 for any cutoff_sigmas >= 11.
-    """
-
-    rel_tol: float = 1e-10
-    min_nodes: int = 24
-    max_nodes: int = 768
-    cutoff_sigmas: float = 12.0
-    allow_negative_couplings: bool = True
+# quadrature policy: node counts are per axis, and the count doubles from
+# _MIN_NODES until ln Z moves by less than _REL_TOL (relative), failing past
+# _MAX_NODES.  The cutoff r_max = v_mu + _CUTOFF_SIGMAS sqrt(v_mu/(beta n))
+# per axis covers the static saddle (always inside |r_mu| <= v_mu) plus the
+# Gaussian tail; the bare-Gaussian mass outside is < 1e-12 for any cutoff of
+# 11 sigmas or more
+_REL_TOL = 1e-10
+_MIN_NODES = 24
+_MAX_NODES = 768
+_CUTOFF_SIGMAS = 12.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class CspaResult:
     """
 
     ln_z: float
-    corr: Correlators | None
+    corr: Correlators
     validity_margin: float
     nodes_per_axis: int
 
@@ -254,14 +245,12 @@ def _field_slopes(idx: int, ls, aux, hw, params: ModelParams, beta: float):
 # quadrature sweep
 
 
-def _split_axes(params: ModelParams, cfg: CspaConfig):
+def _split_axes(params: ModelParams):
     quad, spa = [], []
     for idx, v in enumerate(params.couplings):
         if v > 0.0:
             quad.append(idx)
         elif v < 0.0:
-            if not cfg.allow_negative_couplings:
-                raise ValueError("negative couplings disabled by configuration")
             spa.append(idx)
     return quad, spa
 
@@ -389,8 +378,8 @@ def _golden_min(f, lo: float, hi: float, xatol: float, shape):
     return 0.5 * (a + b)
 
 
-def _sweep(params: ModelParams, T: float, cfg: CspaConfig, m: int,
-           quad, spa, want_obs: bool) -> _SweepOut:
+def _sweep(params: ModelParams, T: float, m: int, quad, spa,
+           want_obs: bool) -> _SweepOut:
     """The quadrature at m nodes per integrated axis, one z slab at a time.
 
     A deformed variable is fixed, at every node of the integrated axes, at
@@ -404,7 +393,7 @@ def _sweep(params: ModelParams, T: float, cfg: CspaConfig, m: int,
     n, b = params.n, params.b
     vx, vy, vz = params.couplings
     c = 0.25 * beta * n
-    sig = cfg.cutoff_sigmas
+    sig = _CUTOFF_SIGMAS
     one = (np.array([0.0]), np.array([1.0]))
 
     xs, wx = _axis_nodes(vx, m, beta, n, sig, False)
@@ -481,16 +470,16 @@ def _sweep(params: ModelParams, T: float, cfg: CspaConfig, m: int,
     return _combine(slabs, kernel_names, margin, m)
 
 
-def _integrate(params: ModelParams, T: float, cfg: CspaConfig, quad, spa,
+def _integrate(params: ModelParams, T: float, quad, spa,
                want_obs: bool) -> _SweepOut:
-    m = cfg.min_nodes
+    m = _MIN_NODES
     prev = None
     while True:
-        cur = _sweep(params, T, cfg, m, quad, spa, want_obs)
+        cur = _sweep(params, T, m, quad, spa, want_obs)
         if prev is not None and (abs(cur.ln_integral - prev.ln_integral)
-                                 <= cfg.rel_tol * max(1.0, abs(cur.ln_integral))):
+                                 <= _REL_TOL * max(1.0, abs(cur.ln_integral))):
             return cur
-        if m >= cfg.max_nodes:
+        if m >= _MAX_NODES:
             raise NumericalError(
                 f"static-path quadrature not converged at {m} nodes per axis")
         prev = cur
@@ -523,60 +512,52 @@ def cspa_log_integrand(r, params: ModelParams, T: float) -> float:
     return -0.25 * beta * (quad + sum(params.couplings)) + float(static - phi_w)
 
 
-def cspa_log_partition(params: ModelParams, T: float,
-                       cfg: CspaConfig | None = None) -> float:
+def cspa_log_partition(params: ModelParams, T: float) -> float:
     """ln Z in the static-path approximation.
 
     Raises BreakdownError below the breakdown temperature T* and
-    NumericalError if the quadrature cannot reach the configured tolerance.
+    NumericalError if the quadrature cannot reach its tolerance.
     """
-    cfg = cfg or CspaConfig()
     if T <= 0:
         raise ValueError("static-path partition function needs T > 0")
-    quad, spa = _split_axes(params, cfg)
-    out = _integrate(params, T, cfg, quad, spa, want_obs=False)
+    quad, spa = _split_axes(params)
+    out = _integrate(params, T, quad, spa, want_obs=False)
     return out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
 
 
-def cspa_result(params: ModelParams, T: float,
-                cfg: CspaConfig | None = None) -> CspaResult:
+def cspa_result(params: ModelParams, T: float) -> CspaResult:
     """ln Z together with the pair correlators and quadrature diagnostics.
 
     alpha_mu = T d(ln Z)/dv_mu / (n - 1) and sz = -T d(ln Z)/db / n come
     from kernels averaged over the nodes of the ln Z quadrature itself
     (see _kernels); a deformed axis (v_mu < 0) differences ln Z.
     """
-    cfg = cfg or CspaConfig()
     if T <= 0:
         raise ValueError("static-path partition function needs T > 0")
     if params.n < 2:
         raise ValueError("pair correlators need n >= 2")
-    quad, spa = _split_axes(params, cfg)
-    out = _integrate(params, T, cfg, quad, spa, want_obs=True)
+    quad, spa = _split_axes(params)
+    out = _integrate(params, T, quad, spa, want_obs=True)
     ln_z = out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
     inv = 1.0 / (2.0 * (params.n - 1))
-    alphas = [_alpha_deformed(params, T, cfg, idx, ln_z) if idx in spa
+    alphas = [_alpha_deformed(params, T, idx, ln_z) if idx in spa
               else inv * (out.averages[idx] - 0.5) for idx in range(3)]
     corr = Correlators(alpha_x=alphas[0], alpha_y=alphas[1],
                        alpha_z=alphas[2], sz=out.averages["sz"])
     return CspaResult(ln_z, corr, out.margin, out.nodes)
 
 
-def cspa_observables(params: ModelParams, T: float,
-                     cfg: CspaConfig | None = None) -> Correlators:
-    return cspa_result(params, T, cfg).corr
+def cspa_observables(params: ModelParams, T: float) -> Correlators:
+    return cspa_result(params, T).corr
 
 
-def cspa_concurrence(params: ModelParams, T: float,
-                     cfg: CspaConfig | None = None,
-                     formation: bool = False) -> ConcurrenceReport:
+def cspa_concurrence(params: ModelParams, T: float) -> ConcurrenceReport:
     """Concurrence of the static-path thermal state (via the pair density)."""
-    corr = cspa_observables(params, T, cfg)
-    return concurrence(pair_density(corr, params.n), formation=formation)
+    return concurrence(pair_density(cspa_observables(params, T), params.n))
 
 
-def _alpha_deformed(params: ModelParams, T: float, cfg: CspaConfig,
-                    idx: int, ln_z: float) -> float:
+def _alpha_deformed(params: ModelParams, T: float, idx: int,
+                    ln_z: float) -> float:
     """alpha_mu = T d(ln Z)/d(v_mu) / (n - 1) on a deformed axis (v_mu < 0).
 
     The saddle-point cross-section has no node kernel, so ln Z is differenced
@@ -586,7 +567,7 @@ def _alpha_deformed(params: ModelParams, T: float, cfg: CspaConfig,
     name = ("v_x", "v_y", "v_z")[idx]
     scale = min(params.v_x, 0.5 * abs(v))
     at = lambda step: (cspa_log_partition(
-        params.replace(**{name: v + step}), T, cfg),)
+        params.replace(**{name: v + step}), T),)
     (diff,), width = _fd_stencil(at, (ln_z,), params, name,
                                  _DEFORMED_STEP * scale)
     return T / (params.n - 1) * diff / width

@@ -60,6 +60,8 @@ LIMIT_SCAN_POINTS = 400  # temperatures scanned by limit_temperatures
 
 _SCAN_CHUNK = 16  # temperatures per chunk of Spectra._thermal_moments
 
+_VALIDATE_TOL = 1e-10  # PairDensity.validate: trace defect, lowest eigenvalue
+
 # levels per chunk of the sub-block build, which bounds its temporaries
 _BUILD_CHUNK = 1 << 18
 
@@ -525,15 +527,15 @@ class PairDensity:
             self.p_zero - self.alpha_minus, self.p_zero + self.alpha_minus,
         ]))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Assert the physicality invariants; raises InvalidStateError."""
-        if abs(self.p_plus + self.p_minus + 2 * self.p_zero - 1.0) > tol:
+        if abs(self.p_plus + self.p_minus + 2 * self.p_zero - 1.0) > _VALIDATE_TOL:
             raise InvalidStateError("pair probabilities do not sum to 1")
         lo = -1.0 / (4 * (self.n - 1)) - 1e-12
         for a in (self.alpha_x, self.alpha_y, self.alpha_z):
             if not lo <= a <= 0.25 + 1e-12:
                 raise InvalidStateError(f"correlator {a} outside [{lo}, 0.25]")
-        if self.eigenvalues()[0] < -tol:
+        if self.eigenvalues()[0] < -_VALIDATE_TOL:
             raise InvalidStateError("pair density not positive semidefinite")
 
 
@@ -559,7 +561,6 @@ class ConcurrenceReport:
     c_minus: float
     c: float
     kind: str  # parallel | antiparallel | separable
-    formation: float | None = None
 
 
 def _signed_concurrences(pd: PairDensity):
@@ -573,7 +574,7 @@ def _signed_concurrences(pd: PairDensity):
     return c_plus, c_minus
 
 
-def concurrence(pd: PairDensity, formation: bool = False) -> ConcurrenceReport:
+def concurrence(pd: PairDensity) -> ConcurrenceReport:
     """Concurrence of an X-form pair state.
 
     C_+ = 2(|a_+| - p_0) detects parallel (uu/dd) entanglement, C_- =
@@ -588,9 +589,7 @@ def concurrence(pd: PairDensity, formation: bool = False) -> ConcurrenceReport:
         kind = "antiparallel"
     else:
         kind = "separable"
-    e = formation_entanglement(c) if formation else None
-    return ConcurrenceReport(c_plus=c_plus, c_minus=c_minus, c=c, kind=kind,
-                             formation=e)
+    return ConcurrenceReport(c_plus=c_plus, c_minus=c_minus, c=c, kind=kind)
 
 
 def formation_entanglement(c: float) -> float:
@@ -606,16 +605,15 @@ def formation_entanglement(c: float) -> float:
     return -(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q))
 
 
-def thermal_concurrence(params: ModelParams, T: float,
-                        formation: bool = False) -> ConcurrenceReport:
+def thermal_concurrence(params: ModelParams, T: float) -> ConcurrenceReport:
     """Exact thermal pair concurrence at temperature T."""
     spectra = diagonalize(params)
     corr = thermal_observables(spectra, T)
-    return concurrence(pair_density(corr, params.n), formation=formation)
+    return concurrence(pair_density(corr, params.n))
 
 
-def level_concurrence(spectra: Spectra, two_s: int, k: int, parity: int,
-                      formation: bool = False) -> ConcurrenceReport:
+def level_concurrence(spectra: Spectra, two_s: int, k: int,
+                      parity: int) -> ConcurrenceReport:
     """Concurrence of the Y(S)-fold degenerate mixture of one level.
 
     The equal-weight mixture over the multiplicity copies of level (S, k, nu)
@@ -633,7 +631,7 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int, parity: int,
     while spectra._energy[i] == np.inf:
         spectra._advance(j)
     corr = _correlators(spectra._moments[:, i].tolist(), n)
-    return concurrence(pair_density(corr, n), formation=formation)
+    return concurrence(pair_density(corr, n))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +682,7 @@ def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
     return np.column_stack(_signed_concurrences(pair_density(corr, n)))
 
 
-def limit_temperatures(params: ModelParams, b: float | None = None, *,
+def limit_temperatures(params: ModelParams, *,
                        t_max: float = 2.0) -> LimitTemperatures:
     """All temperature intervals where C_+ > 0 and where C_- > 0.
 
@@ -699,9 +697,8 @@ def limit_temperatures(params: ModelParams, b: float | None = None, *,
     An interval starting at the bottom of the window is extended to T = 0
     when the ground-manifold concurrence is itself positive.
     """
-    p = params if b is None else params.with_field(b)
-    spectra = diagonalize(p)
-    vx = p.v_x
+    spectra = diagonalize(params)
+    vx = params.v_x
     grid = np.geomspace(1e-4 * vx, t_max * vx, LIMIT_SCAN_POINTS)
     c0 = _signed_c_of_t(spectra, 0.0)
     vals = _signed_c_on_grid(spectra, grid)

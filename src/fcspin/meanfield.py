@@ -366,11 +366,9 @@ def _fd_stencil(f, f0, params: ModelParams, eta: str, h: float):
                 }.get(eta, (math.inf, math.inf))
     if min(down, up) > 2.0 * h:
         return [a - b for a, b in zip(f(h), f(-h))], 2 * h
-    room = max(down, up)
-    if room <= 0:
-        raise DivergenceError(f"no room to differentiate along {eta} (XXZ edge)")
+    # one-sided toward the larger room, which is at least v_x > 0
     sgn = 1.0 if up >= down else -1.0
-    hh = sgn * min(h, 0.25 * room)
+    hh = sgn * min(h, 0.25 * max(down, up))
     return [4 * a - 3 * a0 - b
             for a, a0, b in zip(f(hh), f0, f(2 * hh))], 2 * hh
 

@@ -119,8 +119,8 @@ def _fac_minus(br: _Branch, T: float) -> float:
     return _omega_coth(br.omega, T) * br.minus_scale
 
 
-def asymptotic_concurrence(params: ModelParams, T: float, b: float | None = None,
-                           ) -> tuple[float, float | None]:
+def asymptotic_concurrence(params: ModelParams,
+                           T: float) -> tuple[float, float | None]:
     """Large-n concurrence pair (C_+, C_-).
 
     C_pm = [1 - (omega/(lam - v_y))^{pm 1} coth(omega/2T)]/(n-1) - 2 e^{-lam/T},
@@ -132,14 +132,13 @@ def asymptotic_concurrence(params: ModelParams, T: float, b: float | None = None
     parallel entanglement exists.  At the XXZ point the antiparallel value
     goes through its finite limit and C_+ diverges to -inf.
     """
-    p = params if b is None else params.with_field(b)
     if T < 0:
         raise ValueError("temperature must be nonnegative")
-    if p.n < 2:
+    if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
-    br = _zero_t_branch(p)
+    br = _zero_t_branch(params)
     tail = 2.0 * math.exp(-br.lam / T) if T > 0 else 0.0
-    inv = 1.0 / (p.n - 1)
+    inv = 1.0 / (params.n - 1)
     c_plus = (1.0 - _fac_plus(br, T)) * inv - tail
     if not br.in_sb:
         return c_plus, None
@@ -166,8 +165,8 @@ class FullConcurrence:
     b_f: float | None = None
 
 
-def full_concurrence(params: ModelParams, T: float, b: float | None = None,
-                     *, expanded: bool = False) -> FullConcurrence:
+def full_concurrence(params: ModelParams, T: float, *,
+                     expanded: bool = False) -> FullConcurrence:
     """Concurrence pair keeping every O(1/n) fluctuation term.
 
     Inputs are rescaled internally so v_x = 1 (the result is scale
@@ -175,20 +174,19 @@ def full_concurrence(params: ModelParams, T: float, b: float | None = None,
     the full square-root form by default; ``expanded`` switches to its
     1/n expansion, valid away from the critical field.
     """
-    p = params if b is None else params.with_field(b)
     if T < 0:
         raise ValueError("temperature must be nonnegative")
-    if p.n < 2:
+    if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
-    q = p.scaled(1.0 / p.v_x)
-    t = T / p.v_x
+    q = params.scaled(1.0 / params.v_x)
+    t = T / params.v_x
     sol = solve_mean_field(q, t)
     if sol.phase == "symmetry_breaking":
         if _is_xxz(q):
             raise DivergenceError(
                 "degenerate XXZ valley (v_y = v_x): the fluctuation "
                 "corrections sit on a zero mode")
-        return _full_sb(q, t, sol, expanded, p.v_x)
+        return _full_sb(q, t, sol, expanded, params.v_x)
     return _full_normal(q, t, sol)
 
 
@@ -295,8 +293,8 @@ def _full_normal(q: ModelParams, t: float, sol) -> FullConcurrence:
 # ---------------------------------------------------------------------------
 # limit temperatures and the separable window
 
-def limit_temperature_rpa(params: ModelParams, b: float | None = None,
-                          ) -> tuple[float | None, float | None]:
+def limit_temperature_rpa(
+        params: ModelParams) -> tuple[float | None, float | None]:
     """Limit temperatures (T_L^+, T_L^-) of the two concurrence types.
 
     Each solves the self-consistency T = lam/ln[2(n-1)/D(T)] with
@@ -306,18 +304,17 @@ def limit_temperature_rpa(params: ModelParams, b: float | None = None,
     bracketing solve.  A branch whose T -> 0 numerator is already nonpositive
     carries no entanglement of that type at any temperature -> None.
     """
-    p = params if b is None else params.with_field(b)
-    if p.n < 2:
+    if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
-    br = _zero_t_branch(p)
-    pc = critical_constants(p)
+    br = _zero_t_branch(params)
+    pc = critical_constants(params)
     seed = None
-    if (not br.in_sb and pc.b_c > 0.0 and p.b > 5.0 * pc.b_c
+    if (not br.in_sb and pc.b_c > 0.0 and params.b > 5.0 * pc.b_c
             and pc.chi < 1.0):
-        arg = 4.0 * (p.n - 1) * (p.b / pc.b_c) / (1.0 - pc.chi)
-        seed = (p.b + p.v_z) / math.log(arg)
-    t_plus = _limit_t(br, p.n, _fac_plus, seed)
-    t_minus = _limit_t(br, p.n, _fac_minus, None) if br.in_sb else None
+        arg = 4.0 * (params.n - 1) * (params.b / pc.b_c) / (1.0 - pc.chi)
+        seed = (params.b + params.v_z) / math.log(arg)
+    t_plus = _limit_t(br, params.n, _fac_plus, seed)
+    t_minus = _limit_t(br, params.n, _fac_minus, None) if br.in_sb else None
     return t_plus, t_minus
 
 

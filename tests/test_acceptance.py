@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
+import fcspin.cspa
 from fcspin import (
     BreakdownError,
-    CspaConfig,
     ModelParams,
     asymptotic_concurrence,
     cspa_concurrence,
@@ -301,14 +301,16 @@ def test_13_structural_invariants_hold():
 
     # parallel branch continuous across the critical field
     big = ModelParams.from_chi(1000, 0.0, 0.5)
-    below = asymptotic_concurrence(big, 0.1, 1.0 - 1e-9)
-    above = asymptotic_concurrence(big, 0.1, 1.0 + 1e-9)
+    below = asymptotic_concurrence(big.with_field(1.0 - 1e-9), 0.1)
+    above = asymptotic_concurrence(big.with_field(1.0 + 1e-9), 0.1)
     assert math.isclose(below[0], above[0], abs_tol=1e-10)
 
     # quadrature node doubling leaves the static-path answer fixed
     pc = ModelParams.from_chi(100, 0.5, 0.5)
     r1 = cspa_result(pc, 0.14)
-    r2 = cspa_result(pc, 0.14, CspaConfig(min_nodes=2 * r1.nodes_per_axis))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fcspin.cspa, "_MIN_NODES", 2 * r1.nodes_per_axis)
+        r2 = cspa_result(pc, 0.14)
     assert abs(r2.ln_z - r1.ln_z) <= 1e-8 * abs(r1.ln_z)
 
     # validity boundary is enforced, healthy points report their margin

@@ -10,7 +10,6 @@ import pytest
 import fcspin.cspa
 from fcspin import (
     BreakdownError,
-    CspaConfig,
     ModelParams,
     cspa_concurrence,
     cspa_log_integrand,
@@ -68,10 +67,10 @@ def test_beats_the_gaussian_correction_near_criticality(b):
     assert err_cspa <= err_mfrpa
 
 
-def test_node_doubling_is_converged():
+def test_node_doubling_is_converged(monkeypatch):
     r1 = cspa_result(P100, 0.14)
-    cfg = CspaConfig(min_nodes=2 * r1.nodes_per_axis)
-    r2 = cspa_result(P100, 0.14, cfg)
+    monkeypatch.setattr(fcspin.cspa, "_MIN_NODES", 2 * r1.nodes_per_axis)
+    r2 = cspa_result(P100, 0.14)
     assert abs(r2.ln_z - r1.ln_z) <= 1e-8 * abs(r1.ln_z)
 
 
@@ -198,12 +197,6 @@ def test_negative_z_coupling_against_oracle():
     got = cspa_log_partition(p, T)
     want = oracle_log_partition(p, T)
     assert abs(got - want) / abs(want) < 2e-3
-
-
-def test_negative_couplings_can_be_disabled():
-    p = ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.0)
-    with pytest.raises(ValueError):
-        cspa_log_partition(p, 0.5, CspaConfig(allow_negative_couplings=False))
 
 
 def test_zero_y_coupling_axis_is_omitted():

@@ -413,11 +413,12 @@ def test_scalar_results_are_python_floats():
         corr = thermal_observables(sp, T)
         assert all(type(v) is float for v in vars(corr).values())
         assert all(type(v) is float for v in _signed_c_of_t(sp, T))
-    for rep in (thermal_concurrence(p, 0.2, formation=True),
-                level_concurrence(sp, 12, 0, 1, formation=True),
-                level_concurrence(sp, 10, 1, -1, formation=True)):
+    for rep in (thermal_concurrence(p, 0.2),
+                level_concurrence(sp, 12, 0, 1),
+                level_concurrence(sp, 10, 1, -1)):
         assert type(rep.c_plus) is float and type(rep.c_minus) is float
-        assert type(rep.c) is float and type(rep.formation) is float
+        assert type(rep.c) is float
+        assert type(formation_entanglement(rep.c)) is float
 
 
 def test_incompatible_sz_raises_on_scalar_and_grid_paths():

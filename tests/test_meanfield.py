@@ -22,6 +22,7 @@ from fcspin import (
     rpa_energy_general,
     solve_mean_field,
 )
+from fcspin.meanfield import _delta_eta
 from tests.conftest import draw_params, draw_temperature
 
 
@@ -122,6 +123,26 @@ def test_mode_consistency_of_the_solution():
     want = x * x * (1 - sol.f[1]) * (1 - sol.f[2])
     assert math.isclose(sol.omega_sq, want, rel_tol=1e-12)
     assert math.isclose(sol.omega, math.sqrt(want), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("b", [
+    0.5,
+    # the central step of 1e-5 v_x crosses b_c into the normal phase, so the
+    # stencil returns 86.73 where the closed form gives 288.67
+    pytest.param(1.0 - 3e-6, marks=pytest.mark.xfail(
+        strict=True, reason="finite-difference stencil straddles b_c")),
+])
+def test_delta_b_matches_the_closed_form(b):
+    # T = 0, symmetry-breaking phase: lambda = v_x does not depend on b and
+    # omega^2 = (v_x^2 - (v_x b/b_c)^2)(1 - v_y/v_x)(1 - v_z/v_x), so
+    # delta_b = -domega/db = b (v_x/b_c)^2 (1 - v_y/v_x)(1 - v_z/v_x) / omega
+    p = ModelParams.from_chi(1000, b, 0.5)
+    sol = solve_mean_field(p, 0.0)
+    assert sol.phase == "symmetry_breaking"
+    b_c = critical_constants(p).b_c
+    want = (b * (p.v_x / b_c) ** 2 * (1 - p.v_y / p.v_x)
+            * (1 - p.v_z / p.v_x) / sol.omega)
+    assert math.isclose(_delta_eta(sol, p, 0.0, "b"), want, rel_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

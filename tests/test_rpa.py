@@ -33,8 +33,8 @@ from fcspin import (
 def test_branch_continuity_at_the_critical_field():
     # lam and omega close continuously at b_c, so C_+ must too
     p = ModelParams.from_chi(1000, 0.0, 0.5)
-    below = asymptotic_concurrence(p, 0.1, 1.0 - 1e-9)
-    above = asymptotic_concurrence(p, 0.1, 1.0 + 1e-9)
+    below = asymptotic_concurrence(p.with_field(1.0 - 1e-9), 0.1)
+    above = asymptotic_concurrence(p.with_field(1.0 + 1e-9), 0.1)
     assert math.isclose(below[0], above[0], abs_tol=1e-10)
     assert above[1] is None  # antiparallel branch ends at b_c
 
@@ -44,7 +44,7 @@ def test_matches_exact_at_moderate_n():
     p = ModelParams.from_chi(100, 0.0, 0.5)
     T = 0.14
     for b in (0.4, 0.6, 1.5, 2.0):
-        cp, cm = asymptotic_concurrence(p, T, b)
+        cp, cm = asymptotic_concurrence(p.with_field(b), T)
         rep = thermal_concurrence(p.with_field(b), T)
         got = p.n * max(cp, cm if cm is not None else cp, 0.0)
         want = p.n * rep.c
@@ -228,7 +228,7 @@ def test_full_form_terminates_before_the_factorizing_field():
     assert out.complex_terminated and out.c_minus is None
     b_s = factorizing_field(p).mean_field
     assert 0.5 < out.b_f < b_s
-    ok = full_concurrence(p, 0.0, 0.5)
+    ok = full_concurrence(p.with_field(0.5), 0.0)
     assert not ok.complex_terminated and ok.c_minus is not None
 
 
