@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .params import ModelParams
-from .roots import _sign_changes, brentq
+from .roots import _sign_changes, _value, brentq
 from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
 
@@ -719,13 +719,13 @@ def limit_temperatures(params: ModelParams, *,
         if c0[comp] > 0:
             if ivs and ivs[0][0] <= grid[0] * (1 + 1e-12):
                 ivs[0] = (0.0, ivs[0][1])
-            elif vals[0, comp] <= 0:
-                try:  # positive sliver below the scan window
-                    root = brentq(_signed_c_component, 1e-9 * vx, grid[0],
-                                  xtol=xtol, args=args)
-                    ivs.insert(0, (0.0, float(root)))
-                except ValueError:
-                    pass
+            elif (vals[0, comp] <= 0 and
+                  _value(_signed_c_component, 1e-9 * vx, args) >= 0):
+                # a sliver below the scan window: it ends between 1e-9 v_x
+                # and grid[0]; a failure in there propagates
+                root = brentq(_signed_c_component, 1e-9 * vx, grid[0],
+                              xtol=xtol, args=args)
+                ivs.insert(0, (0.0, float(root)))
         out.append(tuple(ivs))
     return LimitTemperatures(plus=out[0], minus=out[1])
 

@@ -298,67 +298,38 @@ def limit_temperature_rpa(
     """Limit temperatures (T_L^+, T_L^-) of the two concurrence types.
 
     Each solves the self-consistency T = lam/ln[2(n-1)/D(T)] with
-    D(T) = 1 - (omega/(lam - v_y))^{pm 1} coth(omega/2T), by damped
-    fixed-point iteration seeded at lam/ln(2n) (or the large-field estimate
-    (b + v_z)/ln[4(n-1)(b/b_c)/(1-chi)] when b > 5 b_c), polished by a
-    bracketing solve.  A branch whose T -> 0 numerator is already nonpositive
-    carries no entanglement of that type at any temperature -> None.
+    D(T) = 1 - (omega/(lam - v_y))^{pm 1} coth(omega/2T) by one bracketed
+    Brent solve on [0, 2 lam].  A branch whose T -> 0 numerator D(0) is
+    already nonpositive carries no entanglement of that type at any
+    temperature -> None.
     """
     if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
     br = _zero_t_branch(params)
-    pc = critical_constants(params)
-    seed = None
-    if (not br.in_sb and pc.b_c > 0.0 and params.b > 5.0 * pc.b_c
-            and pc.chi < 1.0):
-        arg = 4.0 * (params.n - 1) * (params.b / pc.b_c) / (1.0 - pc.chi)
-        seed = (params.b + params.v_z) / math.log(arg)
-    t_plus = _limit_t(br, params.n, _fac_plus, seed)
-    t_minus = _limit_t(br, params.n, _fac_minus, None) if br.in_sb else None
+    t_plus = _limit_t(br, params.n, _fac_plus)
+    t_minus = _limit_t(br, params.n, _fac_minus) if br.in_sb else None
     return t_plus, t_minus
 
 
-def _limit_t(br: _Branch, n: int, fac, seed: float | None) -> float | None:
+def _limit_t(br: _Branch, n: int, fac) -> float | None:
+    """Root of g(T) = T - lam/ln[2(n-1)/D(T)], or None when D(0) <= 0.
+
+    The root is unique: omega coth(omega/2T) grows with T, so D falls and
+    the right-hand side falls with it, and g rises strictly.  Past the
+    point where D reaches 0 the right-hand side is taken as its limit 0+,
+    so g = T there.  With D(0) > 0 (and D <= 1), g(0) = -lam/ln[2(n-1)/D(0)]
+    < 0, and g(2 lam) > 0 because the right-hand side is at most lam/ln 2:
+    [0, 2 lam] always brackets the one sign change.
+    """
     lam = br.lam
     if lam <= 0.0 or 1.0 - fac(br, 0.0) <= 0.0:
         return None
 
-    def rhs(t: float) -> float | None:
-        d = 1.0 - fac(br, t)
-        if d <= 0.0:
-            return None
-        return lam / math.log(2.0 * (n - 1) / d)
-
     def g(t: float) -> float:
-        r = rhs(t)
-        # beyond the feasible range rhs -> 0+, so t alone keeps the sign
-        return t - (r if r is not None else 0.0)
+        d = 1.0 - fac(br, t)
+        return t - lam / math.log(2.0 * (n - 1) / d) if d > 0.0 else t
 
-    t = seed if seed is not None else lam / math.log(2.0 * n)
-    converged = False
-    for _ in range(200):
-        r = rhs(t)
-        if r is None:
-            t *= 0.5
-            continue
-        new = 0.5 * (t + r)
-        if abs(new - t) <= 1e-10 * new:
-            t = new
-            converged = True
-            break
-        t = new
-    lo, hi = 0.99 * t, 1.01 * t
-    if g(lo) < 0.0 < g(hi):
-        return brentq(g, lo, hi, xtol=1e-15 * lam, rtol=8.9e-16)
-    if converged:
-        return t
-    # oscillation fallback: D > 0 at T -> 0 guarantees a crossing below
-    # lam/ln 2, so a coarse scan always brackets it
-    grid = np.geomspace(1e-8 * lam, 2.0 * lam, 800)
-    rises = [c for c in _sign_changes(grid, [g(x) for x in grid])
-             if c.before < 0]  # rises from a negative g
-    return (rises[0].polish(brentq, g, xtol=1e-15 * lam, rtol=8.9e-16)
-            if rises else None)
+    return brentq(g, 0.0, 2.0 * lam, xtol=1e-15 * lam, rtol=8.9e-16)
 
 
 def separable_window(params: ModelParams, T: float,

@@ -672,6 +672,27 @@ def test_limit_temperatures_leaves_no_spectrum_alive():
         gc.enable()
 
 
+def test_limit_temperatures_propagate_a_failure_below_the_scan(monkeypatch):
+    # C_pm > 0 at T = 0 and <= 0 on the whole grid sends the search below
+    # grid[0]; an InvalidStateError there must reach the caller instead of
+    # reading as "no sliver"
+    p = ModelParams.from_chi(8, 0.3, 0.5)
+    floor = 1e-4 * p.v_x
+
+    def c_of_t(spectra, T):
+        if T == 0.0:
+            return 0.1, 0.1
+        if T < floor:
+            raise InvalidStateError("pair density not positive semidefinite")
+        return -0.1, -0.1
+
+    monkeypatch.setattr(fcspin.exact, "_signed_c_of_t", c_of_t)
+    monkeypatch.setattr(fcspin.exact, "_signed_c_on_grid",
+                        lambda spectra, grid: np.full((len(grid), 2), -0.1))
+    with pytest.raises(InvalidStateError, match="semidefinite"):
+        limit_temperatures(p)
+
+
 def _batch_draws():
     rng = np.random.default_rng(67)
     for n, top in ((2, 3.0), (7, 0.1), (60, 3.0), (151, 3.0), (151, 0.1),

@@ -71,15 +71,88 @@ def test_xxz_antiparallel_limit_is_finite():
 # limit temperatures
 
 
+def _rpa_draws(count: int):
+    """Seeded points: n log-uniform in [2, 1e6], v_z != 0, b up to 8 b_c.
+
+    A quarter of them sit within 1e-6..1e-1 relative of b_s, on either
+    side, a quarter likewise of b_c, and a quarter below b_s, where the
+    antiparallel branch lives.  Where no factorizing field exists b_s is
+    read as b_c, and where v_z >= v_x (no ordered phase) b_c as v_x.
+    """
+    rng = np.random.default_rng(131)
+    for i in range(count):
+        n = int(round(10 ** rng.uniform(math.log10(2.0), 6.0)))
+        v_x = float(10 ** rng.uniform(-1.0, 1.0))
+        v_y = float(rng.uniform(-0.95, 0.95)) * v_x
+        v_z = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 1.5)) * v_x
+        p = ModelParams(n, 0.0, v_x, v_y, v_z)
+        pc = critical_constants(p)
+        b_c = v_x if pc.normal_only else pc.b_c
+        near = 1.0 + float(rng.choice([-1.0, 1.0])
+                           * 10 ** rng.uniform(-6.0, -1.0))
+        has_bs = not pc.normal_only and 0.0 < pc.chi < 1.0
+        b_s = b_c * math.sqrt(pc.chi) if has_bs else b_c
+        if i % 4 == 0:
+            b = float(rng.uniform(0.0, 8.0)) * b_c
+        elif i % 4 == 1:
+            b = b_s * near
+        elif i % 4 == 2:
+            b = b_c * near
+        else:
+            b = float(rng.uniform(0.0, 1.0)) * b_s
+        yield p.with_field(b)
+
+
 def test_limit_temperature_solves_its_equation():
-    p = ModelParams.from_chi(100, 0.5, 0.5)
-    t_plus, t_minus = limit_temperature_rpa(p)
-    assert t_plus is None  # below the factorizing field
-    sol = solve_mean_field(p, 0.0)
-    lam, om = sol.gap, sol.omega
-    fac = (om / (lam - p.v_y)) ** (-1) / math.tanh(om / (2 * t_minus))
-    resid = t_minus * math.log(2 * (p.n - 1) / (1.0 - fac)) - lam
-    assert abs(resid) <= 1e-8
+    # T_L solves T ln[2(n-1)/D(T)] = lam, D(T) = 1 - r^{pm 1} coth(omega/2T)
+    # with r = omega/(lam - v_y), all rebuilt here from the T = 0 mean field
+    values = {1: 0, -1: 0}
+    for p in _rpa_draws(400):
+        sol = solve_mean_field(p, 0.0)
+        lam, om = sol.gap, sol.omega
+        two_n = 2.0 * (p.n - 1)
+        for sign, t in zip((1, -1), limit_temperature_rpa(p)):
+            if sign == -1 and sol.phase == "normal":
+                assert t is None, p
+                continue
+            r = (om / (lam - p.v_y)) ** sign
+
+            def d_of(T, r=r):
+                return 1.0 - r / np.tanh(0.5 * om / np.asarray(T))
+
+            # no entanglement of that type at any T exactly when D(0) <= 0
+            assert (t is None) == (1.0 - r <= 0.0), p
+            if t is None:
+                continue
+            values[sign] += 1
+            d = float(d_of(t))
+            assert abs(d - two_n * math.exp(-lam / t)) <= 1e-12, (p, sign)
+            # the log form loses digits where the root sits on D -> 0+
+            if d >= 1e-4:
+                resid = t * math.log(two_n / d) - lam
+                assert abs(resid) <= 1e-11 * lam, (p, sign, resid)
+            # T - rhs(T) changes sign once, in the scan bracket of T_L
+            grid = np.geomspace(1e-10 * lam, 2.0 * lam, 2000)
+            dg = d_of(grid)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where(dg > 0.0, grid - lam / np.log(two_n / dg), grid)
+            flips = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+            assert len(flips) == 1, (p, sign, flips)
+            assert grid[flips[0]] <= t <= grid[flips[0] + 1], (p, sign)
+    assert min(values.values()) >= 50, values
+
+
+def test_limit_temperature_below_the_old_scan_floor():
+    # XXZ point just below b_c: omega = 0, so D(T) = 1 - 2T/[(1 - (b/b_c)^2)
+    # (v_x - v_z)] falls to 0 at T* ~ 1e-13 v_x and T_L^- sits there, below
+    # the 1e-8 lam bottom of a coarse geometric scan
+    p = ModelParams(n=1000, b=1.0 - 1e-13, v_x=1.0, v_y=1.0, v_z=0.0)
+    _, t_minus = limit_temperature_rpa(p)
+    t_star = 0.5 * (1.0 - p.b * p.b)
+    assert t_minus is not None
+    assert abs(t_minus - t_star) <= 1e-15 * p.v_x
+    assert asymptotic_concurrence(p, 0.5 * t_star)[1] > 0.0
+    assert asymptotic_concurrence(p, 2.0 * t_star)[1] < 0.0
 
 
 def test_limit_temperature_tracks_exact():
@@ -107,7 +180,7 @@ def test_limit_temperature_scaling_in_n():
 
 
 def test_strong_field_limit_temperature_seed():
-    # far above b_c the solver must still converge (dedicated seed branch)
+    # far above b_c the bracket [0, 2 lam] still holds the parallel root
     p = ModelParams.from_chi(100, 8.0, 0.5)
     t_plus, t_minus = limit_temperature_rpa(p)
     assert t_minus is None
