@@ -71,14 +71,35 @@ _STAGED_DIM = 256
 _PREFIX_LEVELS = 16
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, whose import waits for a first solve.
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
+    """Eigenpairs of the tridiagonal matrix (diag, off) from LAPACK ``dstemr``.
 
-    The mean-field and static-path methods never solve a block, so
-    ``import fcspin`` loads no SciPy module.
+    Returns the levels in ascending order and their eigenvectors as
+    columns; with ``lowest``, only the lowest that many.  The call is the
+    one ``scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")``
+    makes, bitwise, without its per-call checks and workspace query: the
+    off-diagonal is padded to length N, as ``?STEMR`` requires, and the
+    workspace is LAPACK's documented minimum for eigenvectors, lwork = 18 N
+    and liwork = 10 N.  The input must be finite (``Spectra`` checks its
+    elements once, when it builds them); a nonzero ``info`` raises
+    ``np.linalg.LinAlgError``.  ``dstemr`` is imported on the first call,
+    so ``import fcspin`` loads no SciPy module.
+
+    Every sub-block solve goes through this module-level name, so wrapping
+    it counts the solves and the levels they return (``perfbench/tracer.py``
+    does, for ``exact.tridiag_calls`` and ``exact.levels``).
     """
-    from scipy.linalg import eigh_tridiagonal as solve
-    return solve(*args, **kwargs)
+    from scipy.linalg.lapack import dstemr
+    dim = len(diag)
+    e = np.zeros(dim)
+    e[:-1] = off
+    # range 'A' (0) or 'I' (2) with LAPACK's 1-based il, iu; vl, vu unused
+    rng, iu = (0, 1) if lowest is None else (2, lowest)
+    m, w, v, info = dstemr(diag, e, rng, 0.0, 1.0, 1, iu, compute_v=1,
+                           lwork=18 * dim, liwork=10 * dim)
+    if info:
+        raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
+    return w[:m], v[:, :m]
 
 
 def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
@@ -89,17 +110,18 @@ def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
     ``_PREFIX_LEVELS`` levels, then one full solve that supplies the rest
     and drops its own copy of the prefix.  A level thus always comes from
     the same call, whatever solved its sub-block's other levels.  Returns
-    the levels ``solved, solved + 1, ...`` and their eigenvectors.
+    the levels ``solved, solved + 1, ...`` and their eigenvectors.  Each
+    call goes through the module global ``eigh_tridiagonal`` (``dstemr``
+    with lwork = 18 N, liwork = 10 N), never a local alias: the benchmark's
+    tracer counts solves and levels by wrapping that name.
     """
     if len(diag) == 1:
-        return diag.astype(float).copy(), np.ones((1, 1))
+        return diag.astype(float), np.ones((1, 1))
     if len(diag) < _STAGED_DIM:
-        return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        return eigh_tridiagonal(diag, off)
     if not solved:
-        return eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, _PREFIX_LEVELS - 1),
-                                lapack_driver="stemr")
-    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        return eigh_tridiagonal(diag, off, lowest=_PREFIX_LEVELS)
+    w, v = eigh_tridiagonal(diag, off)
     return w[solved:], v[:, solved:]
 
 
@@ -208,6 +230,12 @@ class Spectra:
             self._diag[lo:hi], self._plus2[lo:hi] = diag, plus2
             bounds.append(_lowest_level_bounds(
                 diag, self._off_scale * plus2, self._start[a:b + 1] - lo))
+        # the solver checks nothing, so the elements are checked here, once;
+        # plus2 >= 0, so every off-diagonal is finite if the largest is
+        if not (np.isfinite(self._diag).all()
+                and np.isfinite(self._off_scale * self._plus2.max())):
+            raise ValueError("sub-block elements must not contain infs or "
+                             "NaNs")
         # lower bound on each sub-block's lowest unsolved level: the
         # Gershgorin bound, then the solved prefix's last level less the
         # same widening, then +inf once the sub-block is complete
@@ -235,8 +263,9 @@ class Spectra:
         half = 0.5 * (s * (s + 1.0) - mz2)
         lo, end = lo + done, lo + done + len(w)
         self._energy[lo:end] = w
-        self._moments[:, lo:end] = (half + 0.25 * pp, half - 0.25 * pp, mz2,
-                                    m @ p)
+        rows = self._moments[:, lo:end]  # m2x, m2y, m2z, m1z
+        rows[0], rows[1], rows[2], rows[3] = (half + 0.25 * pp,
+                                              half - 0.25 * pp, mz2, m @ p)
         if not done:
             self._ground[j] = w[0]
         if end < hi:

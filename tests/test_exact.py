@@ -957,3 +957,94 @@ def test_spectrum_low_matches_the_solved_spectrum(small_stages):
             assert spectrum_low(sp, count) == want, (p, count)
             if count < 40 and p.n >= 50:
                 assert not sp._complete
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK solver
+
+
+def _stemr_draws():
+    """(params, stride): seeded draws (negative v_y and v_z among them) from
+    n = 2 to 800, most also at b = 0, then points near b_c = v_x - v_z and
+    on the XXZ line; the test checks every stride-th sub-block."""
+    rng = np.random.default_rng(109)
+    draws = [draw_params(rng, n) for n in (2, 3, 8, 31, 100, 257, 520)]
+    draws += [p.with_field(0.0) for p in draws[:-1]]
+    draws += [ModelParams(n=n, b=(1.0 + d) * (1.3 + 0.4), v_x=1.3, v_y=-0.5,
+                          v_z=-0.4) for n, d in ((40, 1e-9), (300, -1e-6))]
+    draws += [ModelParams(n=n, b=b, v_x=1.0, v_y=1.0, v_z=vz)
+              for n, b, vz in ((5, 0.0, 0.3), (60, 0.7, -0.5))]
+    # every sub-block of n = 800 would take seconds: every 16th, the
+    # largest first
+    return [(p, 1) for p in draws] + [(draw_params(rng, 800), 16)]
+
+
+def test_direct_stemr_is_scipys_bitwise():
+    # the full solve and the prefix, each against SciPy's wrapper of the
+    # same LAPACK routine
+    solve, prefix = fcspin.exact.eigh_tridiagonal, fcspin.exact._PREFIX_LEVELS
+    dims = []
+    for p, stride in _stemr_draws():
+        for diag, off in _sub_blocks(p)[::stride]:
+            dim = len(diag)
+            if dim == 1:
+                continue
+            k = min(prefix, dim)
+            pairs = ((solve(diag, off),
+                      eigh_tridiagonal(diag, off, lapack_driver="stemr")),
+                     (solve(diag, off, lowest=k),
+                      eigh_tridiagonal(diag, off, select="i",
+                                       select_range=(0, k - 1),
+                                       lapack_driver="stemr")))
+            for got, want in pairs:
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (
+                        p, dim)
+            dims.append(dim)
+    assert 2 in dims and max(dims) >= fcspin.exact._STAGED_DIM
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_every_solve_goes_through_the_module_level_solver(staged,
+                                                          monkeypatch):
+    # perfbench/tracer.py counts solves and levels by wrapping this name
+    if staged:
+        monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 8)
+        monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 3)
+    solver, advance = fcspin.exact.eigh_tridiagonal, Spectra._advance
+    levels, stages = [], []
+
+    def counting_solver(*args, **kwargs):
+        w, v = solver(*args, **kwargs)
+        levels.append(len(w))
+        return w, v
+
+    def counting_advance(sp, j):
+        stages.append(int(sp._start[j + 1] - sp._start[j]))
+        advance(sp, j)
+
+    monkeypatch.setattr(fcspin.exact, "eigh_tridiagonal", counting_solver)
+    monkeypatch.setattr(Spectra, "_advance", counting_advance)
+    p = ModelParams.from_chi(100, 0.6, 0.5)
+    diagonalize.cache_clear()
+    thermal_concurrence(p, 0.3)
+    sp = diagonalize(p)
+    dims = np.diff(sp._start)
+    solved = np.add.reduceat(np.isfinite(sp._energy), sp._start[:-1])
+    assert len(levels) == sum(d > 1 for d in stages) > 0
+    # a staged sub-block's full solve returns its prefix again
+    resolved = (dims >= fcspin.exact._STAGED_DIM) & (sp._low == np.inf)
+    assert sum(levels) == (solved[dims > 1].sum()
+                           + fcspin.exact._PREFIX_LEVELS * resolved.sum())
+    assert staged == (len(stages) > sp._solved.sum())
+
+
+def test_non_finite_block_elements_raise_value_error():
+    # the diagonal overflows in the first draw, the off-diagonal scale in
+    # the second; neither may reach LAPACK
+    draws = (ModelParams(n=100, b=0, v_x=1e307, v_y=-1e307, v_z=-1e307),
+             ModelParams(n=4, b=0, v_x=1.7e308, v_y=-1.7e308, v_z=0.0))
+    for p in draws:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                thermal_concurrence(p, 1.0)
