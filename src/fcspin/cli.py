@@ -240,6 +240,25 @@ class SweepSpec:
                 "phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
 
 
+def _once(limits: Callable) -> Callable:
+    """``limits`` for a sweep whose parameters stay fixed: evaluated on the
+    first call only, its result, or the failure it raised, returned or
+    raised again on every later call."""
+    outcome = []
+
+    def call(params: ModelParams):
+        if not outcome:
+            try:
+                outcome.append((limits(params), None))
+            except (NumericalError, ValueError) as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+    return call
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """One ``ResultRow`` per grid value of ``spec``.
 
@@ -248,8 +267,12 @@ def run_sweep(spec: SweepSpec) -> list:
     re-raises it.  Point and sweep rows also flag each requested output that
     came back empty (``missing:``, unless the row failed) or non-finite
     (``nonfinite:``); phase-map rows always carry T_c and no such flags.
+    A temperature sweep computes the limit temperatures of its fixed
+    parameters once.
     """
     method = _METHODS[spec.method]
+    limits = (_once(method.limits) if spec.axis == "temperature"
+              else method.limits)
     phasemap = spec.axis == "phasemap"
     if phasemap:
         t_c = critical_constants(spec.params).critical_temperature
@@ -269,8 +292,7 @@ def run_sweep(spec: SweepSpec) -> list:
             if not phasemap:
                 method.evaluate(p, T, need, row)
             if phasemap or need & _LIMITS:
-                row.values["T_L_plus"], row.values["T_L_minus"] = (
-                    method.limits(p))
+                row.values["T_L_plus"], row.values["T_L_minus"] = limits(p)
         except (NumericalError, ValueError) as exc:
             if spec.axis == "point":
                 raise

@@ -71,6 +71,38 @@ _STAGED_DIM = 256
 _PREFIX_LEVELS = 16
 
 
+_dstemr = None  # LAPACK dstemr, bound on the first solve (_load_dstemr)
+
+
+def _load_dstemr():
+    """``dstemr`` from SciPy's compiled LAPACK module ``_flapack``.
+
+    ``scipy.linalg.lapack`` only re-exports that module's routines, but
+    importing it runs ``scipy/linalg/__init__.py``, which loads some 300
+    modules.  So the extension is loaded on its own from SciPy's ``linalg``
+    directory, after ``import scipy`` (whose ``__init__`` sets up the
+    bundled OpenBLAS library path on some platforms); when SciPy's
+    ``linalg`` is already loaded, its ``_flapack`` is reused.  A missing
+    ``_flapack`` raises ``ImportError``.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    import scipy
+    module = sys.modules.get("scipy.linalg._flapack")
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            "_flapack", [os.path.join(d, "linalg") for d in scipy.__path__])
+        if spec is None:
+            raise ImportError("SciPy's compiled LAPACK module "
+                              "scipy/linalg/_flapack was not found")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dstemr
+
+
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
     """Eigenpairs of the tridiagonal matrix (diag, off) from LAPACK ``dstemr``.
 
@@ -82,21 +114,25 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
     workspace is LAPACK's documented minimum for eigenvectors, lwork = 18 N
     and liwork = 10 N.  The input must be finite (``Spectra`` checks its
     elements once, when it builds them); a nonzero ``info`` raises
-    ``np.linalg.LinAlgError``.  ``dstemr`` is imported on the first call,
-    so ``import fcspin`` loads no SciPy module.
+    ``np.linalg.LinAlgError``.  ``dstemr`` is bound on the first call,
+    straight from SciPy's compiled LAPACK module (``_load_dstemr``), so
+    ``import fcspin`` loads no SciPy module and no solve loads
+    ``scipy.linalg``.
 
     Every sub-block solve goes through this module-level name, so wrapping
     it counts the solves and the levels they return (``perfbench/tracer.py``
     does, for ``exact.tridiag_calls`` and ``exact.levels``).
     """
-    from scipy.linalg.lapack import dstemr
+    global _dstemr
+    if _dstemr is None:
+        _dstemr = _load_dstemr()
     dim = len(diag)
     e = np.zeros(dim)
     e[:-1] = off
     # range 'A' (0) or 'I' (2) with LAPACK's 1-based il, iu; vl, vu unused
     rng, iu = (0, 1) if lowest is None else (2, lowest)
-    m, w, v, info = dstemr(diag, e, rng, 0.0, 1.0, 1, iu, compute_v=1,
-                           lwork=18 * dim, liwork=10 * dim)
+    m, w, v, info = _dstemr(diag, e, rng, 0.0, 1.0, 1, iu, compute_v=1,
+                            lwork=18 * dim, liwork=10 * dim)
     if info:
         raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
     return w[:m], v[:, :m]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 
 import fcspin.cli
-from fcspin import (ModelParams, asymptotic_concurrence, concurrence,
-                    cspa_result, diagonalize, full_concurrence,
-                    limit_temperature_rpa, limit_temperatures, log_partition,
-                    log_partition_mfrpa, mfrpa_observables,
-                    oracle_concurrence, oracle_log_partition,
-                    oracle_observables, pair_density, solve_mean_field,
-                    thermal_concurrence, thermal_observables)
+from fcspin import (BreakdownError, DivergenceError, ModelParams,
+                    asymptotic_concurrence, concurrence, cspa_result,
+                    diagonalize, full_concurrence, limit_temperature_rpa,
+                    limit_temperatures, log_partition, log_partition_mfrpa,
+                    mfrpa_observables, oracle_concurrence,
+                    oracle_log_partition, oracle_observables, pair_density,
+                    solve_mean_field, thermal_concurrence,
+                    thermal_observables)
 from fcspin.cli import (KNOWN_OUTPUTS, METHODS, ResultRow, SweepSpec,
                         emit_csv, emit_json, main, run_sweep)
 
@@ -217,6 +219,59 @@ def test_phase_map_rows_always_carry_t_c_and_no_gap_flags(method):
         assert isinstance(r.values["T_c"], float)
         assert not any(f.startswith(("missing:", "nonfinite:"))
                        for f in r.flags)
+
+
+@pytest.mark.parametrize("method, name", [
+    ("exact", "limit_temperatures"), ("mfrpa_full", "limit_temperature_rpa")])
+def test_temperature_sweep_computes_its_limits_once(method, name,
+                                                    monkeypatch):
+    # the parameters stay fixed along a temperature sweep; a field sweep
+    # still needs one call per row
+    real, calls = getattr(fcspin.cli, name), []
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(fcspin.cli, name, spy)
+    p = ModelParams.from_chi(40, 0.6, 0.5)
+    grid = (0.02, 0.1, 0.3, 0.6)
+    spec = SweepSpec(method=method, params=p, temperature=0.1,
+                     axis="temperature", grid=grid,
+                     outputs=("C", "T_L_plus", "T_L_minus"))
+    rows = run_sweep(spec)
+    assert calls == [p]
+    lt = real(p)
+    want = (lt.t_plus, lt.t_minus) if method == "exact" else lt
+    assert want != (None, None)
+    for r in rows:
+        assert (r.values["T_L_plus"], r.values["T_L_minus"]) == want
+    calls.clear()
+    run_sweep(dataclasses.replace(spec, axis="field"))
+    assert calls == [p.with_field(b) for b in grid]
+
+
+@pytest.mark.parametrize("exc, flag", [
+    (BreakdownError, "breakdown"), (DivergenceError, "error:DivergenceError"),
+    (ValueError, "error:ValueError")])
+def test_temperature_sweep_flags_every_row_when_its_limits_fail(
+        exc, flag, monkeypatch):
+    calls = []
+
+    def failing(p):
+        calls.append(p)
+        raise exc("no limit temperature")
+
+    monkeypatch.setattr(fcspin.cli, "limit_temperature_rpa", failing)
+    rows = run_sweep(SweepSpec(
+        method="mfrpa_full", params=ModelParams.from_chi(40, 0.6, 0.5),
+        temperature=0.1, axis="temperature", grid=(0.02, 0.1, 0.3),
+        outputs=("C", "T_L_plus")))
+    assert len(calls) == 1
+    for r in rows:
+        # the values evaluated before the failure stay on each row
+        assert r.flags[-1] == flag and r.flags[0].startswith("phase=")
+        assert r.values["C"] is not None and r.values["T_L_plus"] is None
 
 
 def test_sweep_reruns_are_byte_identical():

@@ -1,8 +1,9 @@
 """Import hygiene: every export resolves; SciPy loads only where called.
 
 ``import fcspin`` loads no SciPy module; the mean-field and static-path
-methods run without one, and the exact path loads ``scipy.linalg`` on its
-first tridiagonal solve.  Each SciPy check runs in a fresh interpreter.
+methods run without one, and the exact path loads ``scipy`` and SciPy's
+compiled LAPACK module on its first tridiagonal solve, but not the
+``scipy.linalg`` package.  Each SciPy check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -63,16 +64,91 @@ assert math.isfinite(fcspin.cspa_log_partition(p, 1.0))
     assert _scipy_after(code) == []
 
 
-def test_exact_solve_loads_linalg_only():
+def test_exact_solve_loads_no_scipy_linalg():
+    # n = 600 has staged sub-blocks, so it also makes the range-'I' prefix
+    # call
     code = """
-import fcspin
-rep = fcspin.thermal_concurrence(fcspin.ModelParams.from_chi(60, 0.5, 0.5),
-                                 0.1)
-assert rep.c > 0.0
+import fcspin, fcspin.exact
+solve, prefixes = fcspin.exact.eigh_tridiagonal, set()
+def spy(diag, off, lowest=None):
+    prefixes.add(lowest)
+    return solve(diag, off, lowest)
+fcspin.exact.eigh_tridiagonal = spy
+for n in (60, 600):
+    rep = fcspin.thermal_concurrence(fcspin.ModelParams.from_chi(n, 0.5, 0.5),
+                                     0.1)
+    assert rep.c > 0.0
+assert prefixes == {None, fcspin.exact._PREFIX_LEVELS}
 """
     loaded = _scipy_after(code)
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    assert "scipy" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("scipy.linalg", "scipy.optimize"))], loaded
+
+
+_BITWISE = """
+import numpy as np
+import fcspin.exact
+
+def compare():
+    from scipy.linalg.lapack import dstemr
+    rng = np.random.default_rng(17)
+    for dim in (2, 3, 17, 51, 300):
+        diag, off = rng.normal(size=dim), rng.normal(size=dim - 1)
+        e = np.zeros(dim)
+        e[:-1] = off
+        for lowest in (None, 16) if dim >= 16 else (None,):
+            kind, iu = (0, 1) if lowest is None else (2, lowest)
+            # dstemr overwrites its off-diagonal argument: pass copies
+            m, w, v, info = dstemr(diag, e.copy(), kind, 0.0, 1.0, 1, iu,
+                                   compute_v=1, lwork=18 * dim,
+                                   liwork=10 * dim)
+            assert info == 0
+            got = fcspin.exact.eigh_tridiagonal(diag, off, lowest)
+            for a, b in zip(got, (w[:m], v[:, :m])):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+"""
+
+
+def test_direct_dstemr_is_scipys_bitwise_after_a_solve():
+    # scipy.linalg loads after the solver bound its own _flapack
+    code = _BITWISE + """
+fcspin.exact.eigh_tridiagonal(np.array([1.0, 2.0]), np.array([0.5]))
+import scipy.linalg
+assert fcspin.exact._dstemr is not scipy.linalg.lapack.dstemr
+compare()
+"""
+    assert "scipy.linalg" in _scipy_after(code)
+
+
+def test_direct_dstemr_is_scipys_bitwise_with_linalg_loaded_first():
+    # the solver reuses the _flapack that scipy.linalg already loaded
+    code = _BITWISE + """
+import scipy.linalg
+compare()
+assert fcspin.exact._dstemr is scipy.linalg.lapack.dstemr
+"""
+    assert "scipy.linalg" in _scipy_after(code)
+
+
+def test_missing_flapack_raises_import_error():
+    code = """
+import importlib.machinery
+import numpy as np
+import scipy
+import fcspin.exact
+find_spec = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = classmethod(lambda *args: None)
+try:
+    fcspin.exact.eigh_tridiagonal(np.ones(2), np.ones(1))
+except ImportError as exc:
+    assert "_flapack" in str(exc)
+else:
+    raise AssertionError("no ImportError")
+finally:
+    importlib.machinery.PathFinder.find_spec = find_spec
+"""
+    assert not [m for m in _scipy_after(code) if m.startswith("scipy.linalg")]
 
 
 def test_cspa_still_resolves_minimize_scalar():
