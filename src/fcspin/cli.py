@@ -9,6 +9,7 @@ arguments (exit 2) or a failure outside the per-row scope (exit 3) abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -240,25 +241,6 @@ class SweepSpec:
                 "phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
 
 
-def _once(limits: Callable) -> Callable:
-    """``limits`` for a sweep whose parameters stay fixed: evaluated on the
-    first call only, its result, or the failure it raised, returned or
-    raised again on every later call."""
-    outcome = []
-
-    def call(params: ModelParams):
-        if not outcome:
-            try:
-                outcome.append((limits(params), None))
-            except (NumericalError, ValueError) as exc:
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-    return call
-
-
 def run_sweep(spec: SweepSpec) -> list:
     """One ``ResultRow`` per grid value of ``spec``.
 
@@ -271,8 +253,8 @@ def run_sweep(spec: SweepSpec) -> list:
     parameters once.
     """
     method = _METHODS[spec.method]
-    limits = (_once(method.limits) if spec.axis == "temperature"
-              else method.limits)
+    # a temperature sweep's rows share one parameter set
+    limits = functools.cache(method.limits)
     phasemap = spec.axis == "phasemap"
     if phasemap:
         t_c = critical_constants(spec.params).critical_temperature

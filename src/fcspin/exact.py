@@ -81,25 +81,21 @@ def _load_dstemr():
     importing it runs ``scipy/linalg/__init__.py``, which loads some 300
     modules.  So the extension is loaded on its own from SciPy's ``linalg``
     directory, after ``import scipy`` (whose ``__init__`` sets up the
-    bundled OpenBLAS library path on some platforms); when SciPy's
-    ``linalg`` is already loaded, its ``_flapack`` is reused.  A missing
+    bundled OpenBLAS library path on some platforms).  A missing
     ``_flapack`` raises ``ImportError``.
     """
     import importlib.machinery
     import importlib.util
     import os
-    import sys
 
     import scipy
-    module = sys.modules.get("scipy.linalg._flapack")
-    if module is None:
-        spec = importlib.machinery.PathFinder.find_spec(
-            "_flapack", [os.path.join(d, "linalg") for d in scipy.__path__])
-        if spec is None:
-            raise ImportError("SciPy's compiled LAPACK module "
-                              "scipy/linalg/_flapack was not found")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(d, "linalg") for d in scipy.__path__])
+    if spec is None:
+        raise ImportError("SciPy's compiled LAPACK module "
+                          "scipy/linalg/_flapack was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module.dstemr
 
 

@@ -256,10 +256,7 @@ def test_temperature_sweep_computes_its_limits_once(method, name,
     (ValueError, "error:ValueError")])
 def test_temperature_sweep_flags_every_row_when_its_limits_fail(
         exc, flag, monkeypatch):
-    calls = []
-
     def failing(p):
-        calls.append(p)
         raise exc("no limit temperature")
 
     monkeypatch.setattr(fcspin.cli, "limit_temperature_rpa", failing)
@@ -267,7 +264,6 @@ def test_temperature_sweep_flags_every_row_when_its_limits_fail(
         method="mfrpa_full", params=ModelParams.from_chi(40, 0.6, 0.5),
         temperature=0.1, axis="temperature", grid=(0.02, 0.1, 0.3),
         outputs=("C", "T_L_plus")))
-    assert len(calls) == 1
     for r in rows:
         # the values evaluated before the failure stay on each row
         assert r.flags[-1] == flag and r.flags[0].startswith("phase=")
