@@ -47,8 +47,9 @@ __all__ = [
     "parity_transitions",
 ]
 
-# Levels within this multiple of v_x of the minimum energy form the T = 0
-# equal-weight ground manifold (captures the broken-symmetry parity doublet).
+# Levels within this multiple of v_x of the minimum energy, or n eps if that
+# is larger (see _ground_tolerance), form the T = 0 equal-weight ground
+# manifold (captures the broken-symmetry parity doublet).
 GROUND_DEGENERACY_RTOL = 1e-12
 
 # Levels whose log-weight lies more than BOLTZMANN_CUT + ln(level count) below
@@ -62,8 +63,8 @@ _SCAN_CHUNK = 16  # temperatures per chunk of Spectra._thermal_moments
 
 _VALIDATE_TOL = 1e-10  # PairDensity.validate: trace defect, lowest eigenvalue
 
-# levels per chunk of the sub-block build, which bounds its temporaries
-_BUILD_CHUNK = 1 << 18
+# levels per chunk of a sub-block build, which bounds its temporaries
+_BUILD_CHUNK = 1 << 15
 
 # sub-blocks of at least _STAGED_DIM levels are solved in two fixed stages,
 # their lowest _PREFIX_LEVELS levels first (see _solve_stage)
@@ -180,6 +181,17 @@ def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
     return low - slack, slack
 
 
+def _ground_tolerance(params: ModelParams) -> float:
+    """Levels this close to the minimum energy form the T = 0 ground manifold.
+
+    max(GROUND_DEGENERACY_RTOL, n eps) v_x: the solver's rounding grows
+    with the block norm, about n v_x, so a fixed multiple of v_x would split
+    the broken-symmetry parity doublet at large n.
+    """
+    return max(GROUND_DEGENERACY_RTOL,
+               params.n * np.finfo(float).eps) * params.v_x
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -212,20 +224,25 @@ class SectorSpectrum:
 class Spectra:
     """Parity-resolved spectrum of a parameter set, solved on demand.
 
-    Construction builds the elements of every (S, parity) sub-block in one
-    vectorized pass, laid end to end like the level arrays, and a lower
-    bound on each sub-block's lowest level; it solves none.  A thermal
-    evaluation at T solves only what can hold a level inside the Boltzmann
-    window (see ``BOLTZMANN_CUT``) and keeps it for later temperatures:
-    small sub-blocks whole, large ones in two fixed stages, the lowest
+    Construction computes a lower bound on the lowest level of every
+    (S, parity) sub-block, from its elements built a chunk at a time; it
+    solves none and keeps only per-sub-block data (and the elements, if
+    they fit one chunk).  A thermal evaluation at T solves only what can
+    hold a level inside the Boltzmann window (see ``BOLTZMANN_CUT``),
+    rebuilding those sub-blocks' elements, and keeps their levels and
+    moments, in one store, for later temperatures: small
+    sub-blocks whole, large ones in two fixed stages, the lowest
     ``_PREFIX_LEVELS`` levels first and the rest only when the window
     reaches past them (``_solve_stage``).  Each level always comes from the
-    same solver call and levels outside the window weigh exactly 0, so a
-    result depends on (params, T) alone, not on the temperatures evaluated
-    before.  The flat per-level arrays run over the sectors in
+    same solver call, and a thermal sum runs over the levels inside the cut
+    only, in a fixed order, so a result depends on (params, T) alone, not
+    on the temperatures evaluated before.
+
+    The flat per-level arrays (``energy``, ``m2x`` ... ``log_mult``,
+    ``two_s``, ``parity``, ``k_index``) run over the sectors in
     ``sector_spins`` order, each laid out as in ``SectorSpectrum``; they,
-    ``sectors`` and ``ground_energy`` keep their full-spectrum meaning.
-    Every array handed out is read-only.
+    ``sectors`` and ``ground_energy`` keep their full-spectrum meaning and
+    are built on first use.  Every array handed out is read-only.
     """
 
     def __init__(self, params: ModelParams):
@@ -238,76 +255,121 @@ class Spectra:
         # |S,M_j> has parity (-1)^((n - 2S)/2 + j)
         self._sub_parity = 1 - 2 * (((n - self._sub_two_s) // 2
                                      + self._sub_first) % 2)
-        dims = (self._sub_two_s - self._sub_first) // 2 + 1
+        self._dims = (self._sub_two_s - self._sub_first) // 2 + 1
         self._multiplicity = sector_multiplicities(n)
         log_y = np.array([math.log(y) for y in self._multiplicity])
         self._sub_log_mult = log_y[(n - self._sub_two_s) // 2]  # by sector
-        self._start = np.concatenate([[0], np.cumsum(dims)])
-        size = int(self._start[-1])
-        # sub-block j is diag/plus2[start[j]:start[j+1]] (see
-        # sub_block_elements), built in chunks of whole sub-blocks to bound
-        # the temporaries; plus2 rather than the off-diagonal is kept because
-        # the moments need it and the off-diagonal is one product away
         self._off_scale = off_diagonal_scale(params)
-        self._diag, self._plus2 = np.empty(size), np.empty(size)
-        edges = np.unique(np.append(np.searchsorted(
-            self._start, np.arange(0, size, _BUILD_CHUNK)), len(dims)))
-        bounds = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            lo, hi = self._start[a], self._start[b]
-            m, x, plus2 = sub_block_elements(params, self._sub_two_s[a:b],
-                                             self._sub_first[a:b])
-            diag = np.multiply(params.b, m, out=m)
-            diag -= x
-            self._diag[lo:hi], self._plus2[lo:hi] = diag, plus2
-            bounds.append(_lowest_level_bounds(
-                diag, self._off_scale * plus2, self._start[a:b + 1] - lo))
-        # the solver checks nothing, so the elements are checked here, once;
-        # plus2 >= 0, so every off-diagonal is finite if the largest is
-        if not (np.isfinite(self._diag).all()
-                and np.isfinite(self._off_scale * self._plus2.max())):
+        bounds, finite = [], True
+        for blocks, diag, plus2 in self._build(np.arange(n + 1)):
+            start = np.append(0, np.cumsum(self._dims[blocks]))
+            bounds.append(_lowest_level_bounds(diag, self._off_scale * plus2,
+                                               start))
+            # plus2 >= 0, so every off-diagonal is finite if the largest is
+            finite &= bool(np.isfinite(diag).all()
+                           and np.isfinite(self._off_scale * plus2.max()))
+        # a spectrum that fits one build chunk keeps its elements, at most
+        # 2 x _BUILD_CHUNK floats (n <= 360); a larger one rebuilds those of
+        # the sub-blocks each round solves
+        self._kept = (diag, plus2) if len(bounds) == 1 else None
+        # the solver checks nothing, so the elements are checked here, once
+        if not finite:
             raise ValueError("sub-block elements must not contain infs or "
                              "NaNs")
         # lower bound on each sub-block's lowest unsolved level: the
         # Gershgorin bound, then the solved prefix's last level less the
         # same widening, then +inf once the sub-block is complete
         self._low, self._slack = map(np.concatenate, zip(*bounds))
-        self._ground = np.full(len(dims), np.inf)  # lowest level, once solved
-        self._open = len(dims)  # sub-blocks not yet complete
-        self._cut = BOLTZMANN_CUT + math.log(size)
-        self.log_mult = _read_only(np.repeat(self._sub_log_mult, dims))
-        # unsolved levels carry infinite energy (zero weight), zero moments
-        self._energy = np.full(size, np.inf)
-        self._moments = np.zeros((4, size))  # m2x, m2y, m2z, m1z
+        self._ground = np.full(n + 1, np.inf)  # lowest level, once solved
+        self._open = n + 1  # sub-blocks not yet complete
+        self._cut = BOLTZMANN_CUT + math.log(int(self._dims.sum()))
+        # the solved levels, by sub-block and ascending within each (a
+        # sub-block's solved levels are its lowest): rows energy, m2x, m2y,
+        # m2z, m1z and ln Y
+        self._offset = np.cumsum(self._dims) - self._dims  # flat index of k = 0
+        self._count = np.zeros(n + 1, dtype=int)  # levels solved per sub-block
+        self._levels = _read_only(np.empty((6, 0)))
+        self._last = None  # see _window_weights
 
-    def _advance(self, j: int) -> None:
-        """Solve the next stage of sub-block j (see ``_solve_stage``)."""
-        lo, hi = self._start[j], self._start[j + 1]
-        plus2 = self._plus2[lo:hi - 1]
-        done = _PREFIX_LEVELS if self._ground[j] < np.inf else 0
-        w, v = _solve_stage(self._diag[lo:hi], self._off_scale * plus2, done)
+    def _build(self, blocks: np.ndarray):
+        """(blocks, diag, plus2) per run of about ``_BUILD_CHUNK`` levels.
+
+        Runs of whole sub-blocks of ``blocks``, in order, with their
+        elements laid end to end (see ``sub_block_elements``); the chunks
+        bound the build's temporaries.
+        """
+        start = np.append(0, np.cumsum(self._dims[blocks]))
+        edges = [0, len(blocks)]
+        if start[-1] > _BUILD_CHUNK:
+            edges = np.unique(np.append(np.searchsorted(
+                start, np.arange(0, start[-1], _BUILD_CHUNK)), len(blocks)))
+        for a, b in zip(edges[:-1], edges[1:]):
+            m, x, plus2 = sub_block_elements(
+                self.params, self._sub_two_s[blocks[a:b]],
+                self._sub_first[blocks[a:b]])
+            diag = np.multiply(self.params.b, m, out=m)
+            diag -= x
+            yield blocks[a:b], diag, plus2
+
+    def _elements(self, blocks: np.ndarray):
+        """(j, diag, plus2) of each sub-block j of ``blocks``, in order."""
+        if self._kept is not None:
+            runs = [(blocks, *self._kept, self._offset[blocks])]
+        else:
+            runs = ((chunk, diag, plus2,
+                     np.cumsum(self._dims[chunk]) - self._dims[chunk])
+                    for chunk, diag, plus2 in self._build(blocks))
+        for chunk, diag, plus2, start in runs:
+            for j, lo, dim in zip(chunk.tolist(), start.tolist(),
+                                  self._dims[chunk].tolist()):
+                yield j, diag[lo:lo + dim], plus2[lo:lo + dim]
+
+    def _advance(self, blocks) -> None:
+        """Solve the next stage of each sub-block of ``blocks``, ascending.
+
+        See ``_solve_stage``.  The new levels are merged into the store in
+        order: a sub-block's new levels go in as one run.
+        """
+        blocks = np.asarray(blocks)
+        at = np.cumsum(self._count)[blocks].tolist()  # after each one's own
+        parts, lo = [], 0
+        for hi, (j, diag, plus2) in zip(at, self._elements(blocks)):
+            parts += [self._levels[:, lo:hi],
+                      self._solve_next(j, diag, plus2[:-1])]
+            lo = hi
+        self._levels = _read_only(np.concatenate(
+            parts + [self._levels[:, lo:]], axis=1))
+        self._last = None
+
+    def _solve_next(self, j: int, diag: np.ndarray,
+                    plus2: np.ndarray) -> np.ndarray:
+        """Sub-block j's next stage: its new levels as columns of the store."""
+        done = int(self._count[j])
+        w, v = _solve_stage(diag, self._off_scale * plus2, done)
         p = v * v
         s = self._sub_two_s[j] / 2.0
         m = np.arange(self._sub_first[j] - s, s + 1.0, 2.0)  # M, exact
         mz2 = (m * m) @ p
         # <S_+^2 + S_-^2> = 2 sum_j c_j v_j v_{j+1} for real eigenvectors
-        pp = 2.0 * (plus2 @ (v[:-1] * v[1:])) if hi - lo > 1 else 0.0
+        pp = 2.0 * (plus2 @ (v[:-1] * v[1:])) if len(diag) > 1 else 0.0
         half = 0.5 * (s * (s + 1.0) - mz2)
-        lo, end = lo + done, lo + done + len(w)
-        self._energy[lo:end] = w
-        rows = self._moments[:, lo:end]  # m2x, m2y, m2z, m1z
-        rows[0], rows[1], rows[2], rows[3] = (half + 0.25 * pp,
-                                              half - 0.25 * pp, mz2, m @ p)
+        new = np.empty((6, len(w)))
+        new[0], new[1], new[2] = w, half + 0.25 * pp, half - 0.25 * pp
+        new[3], new[4], new[5] = mz2, m @ p, self._sub_log_mult[j]
         if not done:
             self._ground[j] = w[0]
-        if end < hi:
+        self._count[j] = done = done + len(w)
+        if done < len(diag):
             self._low[j] = w[-1] - self._slack[j]
-            return
-        self._low[j] = np.inf
-        self._open -= 1
-        if not self._open:
-            _read_only(self._energy)
-            _read_only(self._moments)
+        else:
+            self._low[j] = np.inf
+            self._open -= 1
+        return new
+
+    def _block(self, j: int) -> np.ndarray:
+        """Sub-block j's solved levels: rows energy, m2x, m2y, m2z, m1z."""
+        lo = int(self._count[:j].sum())
+        return self._levels[:5, lo:lo + self._count[j]]
 
     @property
     def _complete(self) -> bool:
@@ -339,7 +401,7 @@ class Spectra:
         Returns the top, the largest log-weight of a level at each T:
         within a sub-block Y is fixed, so it is that of a ground level.
         """
-        width = (GROUND_DEGENERACY_RTOL * self.params.v_x if t[0] == 0
+        width = (_ground_tolerance(self.params) if t[0] == 0
                  else self._cut)
         settled = False
         while True:
@@ -348,42 +410,74 @@ class Spectra:
                 return top
             best = self._log_weights(self._low, t)
             if top[0] == -np.inf:  # nothing solved yet
-                self._advance(int(best[:, 0].argmax()))
+                self._advance([int(best[:, 0].argmax())])
                 continue
             todo = np.flatnonzero((best >= top - width).any(axis=1))
             if not len(todo):
                 return top
-            for j in todo:
-                self._advance(j)
+            self._advance(todo)
             settled = (self._low[todo] == np.inf).all()
 
-    def _solve_lowest(self, count: int) -> None:
-        """Solve the ``count`` lowest levels and every level tied with them.
+    def _window_weights(self, t: np.ndarray):
+        """Boltzmann weights of the levels inside the window, per T of t.
 
-        Advances stages, lowest bound first, until the ``count`` lowest
-        solved levels lie strictly below every unsolved level's bound.
+        Returns (top, idx, w): ``top[i]`` is the largest log-weight at t[i],
+        ``idx`` the store positions of the levels inside the window
+        at some T of t, ascending, and ``w[i]`` their weights Y e^(-E/t[i])
+        / e^top[i], exactly 0 more than the cut below the top.  At T = 0,
+        which comes alone, the levels are those of the ground manifold,
+        weighted by Y alone.  Which other levels earlier calls solved
+        changes neither the levels in ``idx`` nor their order, so sums over
+        them depend on (params, t) alone.  This is the one weighting path of
+        ``log_partition``, ``thermal_observables`` and ``_thermal_moments``.
+        The last result is kept until the next solve: a caller that wants
+        both ln Z and the correlators at one T weighs once.
         """
-        count = min(count, len(self._energy))
-        while not self._complete:
-            kth = np.partition(self._energy, count - 1)[count - 1]
-            j = int(self._low.argmin())
-            if self._low[j] > kth:
-                return
-            self._advance(j)
-
-    def _solve_all(self) -> None:
-        for j in np.flatnonzero(self._low < np.inf):
-            while self._low[j] < np.inf:
-                self._advance(j)
+        key = t.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        self._last = None  # freed before the new weights are made
+        if len(t) == 1:  # every solved level, each less the top
+            if not self._complete:
+                self._solve_window(t)
+            e, lm = self._levels[0], self._levels[5]
+            if t[0] == 0:
+                a = np.where(e <= self._ground.min()
+                             + _ground_tolerance(self.params), lm, -np.inf)
+            else:
+                a = np.divide(e, t[0])
+                np.subtract(lm, a, out=a)
+            # at T > 0 also the window's top: within a sub-block the ground
+            # level weighs most
+            top = a.max(keepdims=True)
+            a -= top[0]
+            idx = np.flatnonzero(a >= -self._cut)
+            w = np.exp(a.take(idx))[None, :]
+        else:
+            top = self._solve_window(t)
+            e, lm = self._levels[0], self._levels[5]
+            # ln Y - E/T is linear in 1/T, so a level peaks over the chunk
+            # at its coldest or hottest T; the slack of 1 absorbs rounding
+            peak = np.maximum(lm - e / t.min(), lm - e / t.max())
+            idx = np.flatnonzero(peak >= top.min() - self._cut - 1.0)
+            # log-weights, one row per T, each less its own top
+            a = np.divide(e.take(idx), t[:, None])
+            np.subtract(lm.take(idx), a, out=a)
+            a -= top[:, None]
+            keep = (a >= -self._cut).any(axis=0)
+            a, idx = a[:, keep], idx[keep]
+            drop = a < -self._cut
+            w = np.exp(a, out=a)
+            w[drop] = 0.0
+        self._last = (key, (top, idx, w))
+        return top, idx, w
 
     def _thermal_moments(self, temps) -> np.ndarray:
         """Weighted moments (m2x, m2y, m2z, m1z), one column per positive T.
 
-        The batched twin of ``_weights``: temperatures go in chunks of
-        ``_SCAN_CHUNK``, and each column keeps its own top and zeroes the
-        levels more than the cut below it, so the result depends on
-        (params, temps) alone, not on earlier calls, and matches
-        ``thermal_observables`` to rounding.
+        Temperatures go in chunks of ``_SCAN_CHUNK``, and each column keeps
+        its own top and zeroes the levels more than the cut below it, so
+        the result depends on (params, temps) alone, not on earlier calls.
         """
         temps = np.asarray(temps, dtype=float)
         if not np.all(temps > 0):
@@ -392,87 +486,81 @@ class Spectra:
                           for i in range(0, len(temps), _SCAN_CHUNK)])
 
     def _chunk_moments(self, t: np.ndarray) -> np.ndarray:
-        """``_thermal_moments`` for one chunk of temperatures."""
-        top = self._solve_window(t)
-        # ln Y - E/T is linear in 1/T, so a level peaks over the chunk at its
-        # coldest or hottest T; the slack of 1 absorbs rounding
-        e, lm = self._energy, self.log_mult
-        peak = np.maximum(lm - e / t.min(), lm - e / t.max())
-        idx = np.flatnonzero(peak >= top.min() - self._cut - 1.0)
-        # log-weights, one row per T, each less its own top
-        a = np.divide(e.take(idx), t[:, None])
-        np.subtract(lm.take(idx), a, out=a)
-        a -= a.max(axis=1, keepdims=True)
-        # only levels inside the window at some T: which other levels
-        # earlier calls solved must not change the sums' rounding
-        keep = (a >= -self._cut).any(axis=0)
-        a, idx = a[:, keep], idx[keep]
-        drop = a < -self._cut
-        w = np.exp(a, out=a)
-        w[drop] = 0.0
+        """Weighted moments at the temperatures of t, one column each.
+
+        ``_thermal_moments`` for one chunk; ``thermal_observables`` calls it
+        with its one T, which may be 0.
+        """
+        _, idx, w = self._window_weights(t)
+        moments = self._levels[1:5]
+        if len(idx) < moments.shape[1]:  # else all of them, in order
+            moments = moments.take(idx, axis=1)
+        if len(t) == 1:
+            return (moments @ w[0] / w.sum())[:, None]
         # one matrix-vector product per moment: a matrix product would make
         # resident BLAS level-3 code and buffers that nothing else here uses
-        return np.array([w @ m.take(idx) for m in self._moments]
-                        ) / w.sum(axis=1)
+        return np.array([w @ m for m in moments]) / w.sum(axis=1)
 
-    def _weights(self, T: float) -> tuple[np.ndarray, float]:
-        """Per-level weights Y e^(-E/T) / e^top and top = their largest log.
+    def _solve_lowest(self, count: int) -> None:
+        """Solve the ``count`` lowest levels and every level tied with them.
 
-        Levels more than the cut below top weigh exactly 0.  At T = 0 the
-        levels are those of the ground manifold, weighted by Y alone.
+        Advances stages, lowest bound first, until the ``count`` lowest
+        solved levels lie strictly below every unsolved level's bound.
         """
-        if T < 0:
-            raise ValueError("temperature must be nonnegative")
-        if not self._complete:
-            self._solve_window(np.array([T], dtype=float))
-        e = self._energy
-        if T == 0:
-            tol = GROUND_DEGENERACY_RTOL * self.params.v_x
-            a = np.where(e <= e.min() + tol, self.log_mult, -np.inf)
-        else:
-            a = self.log_mult - e / T
-        top = float(a.max())
-        a -= top
-        w = np.exp(a, where=a >= -self._cut, out=np.zeros(len(a)))
-        return w, top
+        count = min(count, int(self._dims.sum()))
+        while not self._complete:
+            e = self._levels[0]
+            kth = (np.partition(e, count - 1)[count - 1] if len(e) >= count
+                   else np.inf)
+            j = int(self._low.argmin())
+            if self._low[j] > kth:
+                return
+            self._advance([j])
+
+    def _solve_all(self) -> None:
+        while not self._complete:
+            self._advance(np.flatnonzero(self._low < np.inf))
+
+    def _flat(self, row: int) -> np.ndarray:
+        self._solve_all()
+        return self._levels[row]
 
     @property
     def energy(self) -> np.ndarray:
-        self._solve_all()
-        return self._energy
+        return self._flat(0)
 
     @property
     def m2x(self) -> np.ndarray:
-        self._solve_all()
-        return self._moments[0]
+        return self._flat(1)
 
     @property
     def m2y(self) -> np.ndarray:
-        self._solve_all()
-        return self._moments[1]
+        return self._flat(2)
 
     @property
     def m2z(self) -> np.ndarray:
-        self._solve_all()
-        return self._moments[2]
+        return self._flat(3)
 
     @property
     def m1z(self) -> np.ndarray:
-        self._solve_all()
-        return self._moments[3]
+        return self._flat(4)
+
+    @cached_property
+    def log_mult(self) -> np.ndarray:
+        return _read_only(np.repeat(self._sub_log_mult, self._dims))
 
     @cached_property
     def two_s(self) -> np.ndarray:
-        return _read_only(np.repeat(self._sub_two_s, np.diff(self._start)))
+        return _read_only(np.repeat(self._sub_two_s, self._dims))
 
     @cached_property
     def parity(self) -> np.ndarray:
-        return _read_only(np.repeat(self._sub_parity, np.diff(self._start)))
+        return _read_only(np.repeat(self._sub_parity, self._dims))
 
     @cached_property
     def k_index(self) -> np.ndarray:
-        return _read_only(np.arange(self._start[-1]) - np.repeat(
-            self._start[:-1], np.diff(self._start)))
+        return _read_only(np.arange(self._dims.sum())
+                          - np.repeat(self._offset, self._dims))
 
     @cached_property
     def sectors(self) -> tuple[SectorSpectrum, ...]:
@@ -504,6 +592,12 @@ def diagonalize(params: ModelParams) -> Spectra:
     return Spectra(params)
 
 
+def _one_temperature(T: float) -> np.ndarray:
+    if T < 0:
+        raise ValueError("temperature must be nonnegative")
+    return np.array([T], dtype=float)
+
+
 def log_partition(spectra: Spectra, T: float) -> float:
     """ln Z = ln sum_S Y(S) sum_k exp(-E/T), exact in log domain.
 
@@ -513,8 +607,8 @@ def log_partition(spectra: Spectra, T: float) -> float:
     degeneracy tolerance of the minimum energy), i.e. the log ground
     degeneracy.
     """
-    w, top = spectra._weights(T)
-    return top + math.log(w.sum())
+    top, _, w = spectra._window_weights(_one_temperature(T))
+    return float(top[0]) + math.log(w.sum(axis=1)[0])
 
 
 @dataclass(frozen=True)
@@ -541,8 +635,8 @@ def thermal_observables(spectra: Spectra, T: float) -> Correlators:
     n = spectra.params.n
     if n < 2:
         raise ValueError("pair correlators need n >= 2")
-    w, _ = spectra._weights(T)
-    return _correlators(((spectra._moments @ w) / w.sum()).tolist(), n)
+    moments = spectra._chunk_moments(_one_temperature(T))
+    return _correlators(moments[:, 0].tolist(), n)
 
 
 @dataclass(frozen=True)
@@ -684,14 +778,13 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int,
     n = spectra.params.n
     hit = np.flatnonzero((spectra._sub_two_s == two_s)
                          & (spectra._sub_parity == parity))
-    if len(hit) != 1 or k not in range(np.diff(spectra._start)[hit[0]]):
+    if len(hit) != 1 or k not in range(spectra._dims[hit[0]]):
         raise ValueError(f"no level with 2S={two_s}, k={k}, parity={parity:+d}")
     # advance only the level's own sub-block, as far as the level
     j = int(hit[0])
-    i = int(spectra._start[j] + k)
-    while spectra._energy[i] == np.inf:
-        spectra._advance(j)
-    corr = _correlators(spectra._moments[:, i].tolist(), n)
+    while spectra._count[j] <= k:
+        spectra._advance([j])
+    corr = _correlators(spectra._block(j)[1:, k].tolist(), n)
     return concurrence(pair_density(corr, n))
 
 
@@ -735,8 +828,8 @@ def _signed_c_component(T: float, spectra: Spectra, comp: int) -> float:
 def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
     """Signed (C_+, C_-) at every positive T of grid, one row each.
 
-    The batched twin of ``_signed_c_of_t``; values agree with it to
-    rounding.
+    The grid goes in chunks through the same weighting as
+    ``thermal_observables`` (``Spectra._window_weights``).
     """
     n = spectra.params.n
     corr = _correlators(spectra._thermal_moments(grid), n)
@@ -800,14 +893,16 @@ def spectrum_low(spectra: Spectra, count: int) -> list[tuple[int, int, int, floa
     the ``count + 1`` lowest levels need.
     """
     spectra._solve_lowest(count + 1)
-    e = spectra._energy
+    e = spectra._levels[0]
     order = np.argsort(e, kind="stable")
     idx = order[1:count + 1]
-    # label each level by its sub-block j, found from the offsets
-    j = np.searchsorted(spectra._start, idx, side="right") - 1
+    # label each level by its sub-block j, which ends the store's first
+    # run of ``end[j]`` levels
+    end = np.cumsum(spectra._count)
+    j = np.searchsorted(end, idx, side="right")
     return [(int(ts), int(k), int(par), float(e[i] - e[order[0]]))
             for i, ts, k, par in zip(idx, spectra._sub_two_s[j],
-                                     idx - spectra._start[j],
+                                     idx - end[j] + spectra._count[j],
                                      spectra._sub_parity[j])]
 
 

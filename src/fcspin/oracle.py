@@ -10,13 +10,13 @@ antisymmetric k_y = -i s_y.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import SymmetryViolationError
-from .exact import (GROUND_DEGENERACY_RTOL, ConcurrenceReport, Correlators,
-                    PairDensity, concurrence)
+from .exact import (ConcurrenceReport, Correlators, PairDensity,
+                    _ground_tolerance, concurrence)
 from .params import ModelParams
 
 __all__ = [
@@ -58,6 +58,25 @@ def _collective(op: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=1)
+def _collective_ops(n: int) -> tuple[np.ndarray, ...]:
+    """S_z, S_x^2, K_y^2 and S_z^2 of n spins, built once per n.
+
+    S_x and K_y serve only their squares and are dropped.  The cached
+    arrays are read-only; at n = 12 they hold 4 x 134 MB until n changes.
+    """
+    sx, ky, sz = (_collective(op, n) for op in (_SX, _KY, _SZ))
+    ops = (sz, sx @ sx, ky @ ky, sz @ sz)
+    for a in ops:
+        a.flags.writeable = False
+    return ops
+
+
+def _trace_product(rho: np.ndarray, a: np.ndarray) -> float:
+    """Tr(rho A) as the elementwise sum of rho and A transposed."""
+    return float(np.einsum("ij,ji->", rho, a))
+
+
 def full_hamiltonian(params: ModelParams, form: str = "collective") -> np.ndarray:
     """Dense H, either from collective operators or from the pairwise sum.
 
@@ -69,15 +88,13 @@ def full_hamiltonian(params: ModelParams, form: str = "collective") -> np.ndarra
     b, vx, vy, vz = params.b, params.v_x, params.v_y, params.v_z
     dim = 2 ** n
     if form == "collective":
-        sx = _collective(_SX, n)
-        ky = _collective(_KY, n)
-        sz = _collective(_SZ, n)
+        sz, sx2, ky2, sz2 = _collective_ops(n)
         quarter = 0.25 * n * np.eye(dim)
         # S_y^2 = (i K_y)^2 = -K_y K_y
         return (b * sz
-                - (vx * (sx @ sx - quarter)
-                   + vy * (-(ky @ ky) - quarter)
-                   + vz * (sz @ sz - quarter)) / n)
+                - (vx * (sx2 - quarter)
+                   + vy * (-ky2 - quarter)
+                   + vz * (sz2 - quarter)) / n)
     if form == "pairwise":
         h = b * _collective(_SZ, n)
         for i in range(n):
@@ -99,7 +116,7 @@ def thermal_density(params: ModelParams, T: float) -> np.ndarray:
     h = full_hamiltonian(params)
     w, v = np.linalg.eigh(h)
     if T == 0:
-        mask = w <= w[0] + GROUND_DEGENERACY_RTOL * params.v_x
+        mask = w <= w[0] + _ground_tolerance(params)
         p = mask / mask.sum()
     else:
         p = np.exp(-(w - w[0]) / T)
@@ -187,7 +204,7 @@ def oracle_log_partition(params: ModelParams, T: float) -> float:
         raise ValueError("temperature must be nonnegative")
     w = np.linalg.eigvalsh(full_hamiltonian(params))
     if T == 0:
-        mask = w <= w[0] + GROUND_DEGENERACY_RTOL * params.v_x
+        mask = w <= w[0] + _ground_tolerance(params)
         return math.log(int(mask.sum()))
     a = -(w - w[0]) / T
     return float(np.log(np.exp(a).sum()) - w[0] / T)
@@ -198,16 +215,14 @@ def oracle_observables(params: ModelParams, T: float) -> Correlators:
     n = params.n
     _check_n(n)
     rho = thermal_density(params, T)
-    sx = _collective(_SX, n)
-    ky = _collective(_KY, n)
-    sz = _collective(_SZ, n)
+    sz, sx2, ky2, sz2 = _collective_ops(n)
     denom = n * (n - 1)
-    m2x = float(np.trace(rho @ sx @ sx))
-    m2y = float(-np.trace(rho @ ky @ ky))
-    m2z = float(np.trace(rho @ sz @ sz))
+    m2x = _trace_product(rho, sx2)
+    m2y = -_trace_product(rho, ky2)
+    m2z = _trace_product(rho, sz2)
     return Correlators(
         alpha_x=(m2x - 0.25 * n) / denom,
         alpha_y=(m2y - 0.25 * n) / denom,
         alpha_z=(m2z - 0.25 * n) / denom,
-        sz=float(np.trace(rho @ sz)) / n,
+        sz=_trace_product(rho, sz) / n,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -39,7 +40,8 @@ from fcspin import (
 )
 import fcspin.exact
 from fcspin.exact import (GROUND_DEGENERACY_RTOL, _correlators,
-                          _signed_c_of_t, _signed_c_on_grid, _solve_stage)
+                          _ground_tolerance, _signed_c_of_t,
+                          _signed_c_on_grid, _solve_stage)
 from fcspin.roots import _sign_changes
 from fcspin.spin_algebra import off_diagonal_scale, sub_block_elements
 from tests.conftest import (draw_params, draw_temperature, multiplicity,
@@ -490,7 +492,7 @@ def _unpruned(sp, T):
     """ln Z and correlators summed over every level of a solved spectrum."""
     n = sp.params.n
     if T == 0:
-        tol = GROUND_DEGENERACY_RTOL * sp.params.v_x
+        tol = _ground_tolerance(sp.params)
         a = np.where(sp.energy <= sp.energy.min() + tol, sp.log_mult, -np.inf)
     else:
         a = sp.log_mult - sp.energy / T
@@ -527,6 +529,15 @@ def test_window_matches_full_spectrum(p):
             assert abs(getattr(corr, f) - v) <= 1e-12, (T, f)
 
 
+def test_ground_tolerance_scales_with_n():
+    # GROUND_DEGENERACY_RTOL v_x up to n = 4503, n eps v_x from 4504 on
+    eps = np.finfo(float).eps
+    for n, rtol in ((2, GROUND_DEGENERACY_RTOL), (4503, GROUND_DEGENERACY_RTOL),
+                    (4504, 4504 * eps), (10_000, 10_000 * eps)):
+        p = ModelParams(n=n, b=0.0, v_x=2.0, v_y=1.0, v_z=0.0)
+        assert _ground_tolerance(p) == rtol * 2.0, n
+
+
 def test_window_solves_few_sectors_when_cold():
     p = ModelParams.from_chi(400, 0.8, 0.5)
     sp = Spectra(p)
@@ -557,8 +568,9 @@ def test_level_bound_is_below_the_lowest_level():
             p = draw_params(rng, n)
             sp = Spectra(p)
             bounds = sp._low.copy()  # before any solve
+            sp.energy  # solves every sub-block
             for j, (diag, off) in enumerate(_sub_blocks(p)):
-                solved = sp.energy[sp._start[j]]  # lowest level of block j
+                solved = sp._block(j)[0, 0]  # lowest level of block j
                 lowest = (diag[0] if len(diag) == 1 else
                           eigvalsh_tridiagonal(diag, off)[0])
                 assert bounds[j] <= solved and bounds[j] <= lowest
@@ -739,6 +751,12 @@ def test_results_do_not_depend_on_earlier_temperatures():
     diagonalize.cache_clear()
     fresh = diagonalize(p)
     assert (thermal_observables(fresh, 0.1), log_partition(fresh, 0.1)) == got
+    assert log_partition(Spectra(p), 0.1) == got[1]
+    # and after the scan and root polish of limit_temperatures, which solve
+    # the cached spectrum much further
+    limit_temperatures(p)
+    assert diagonalize(p) is fresh
+    assert (thermal_observables(fresh, 0.1), log_partition(fresh, 0.1)) == got
 
 
 def test_cached_arrays_are_read_only():
@@ -772,8 +790,8 @@ def small_stages(monkeypatch):
 
 def _plain_solve(sp, j):
     """Sub-block j's levels and moments from one full stemr solve; its norm."""
-    lo, hi = sp._start[j], sp._start[j + 1]
-    diag, plus2 = sp._diag[lo:hi], sp._plus2[lo:hi - 1]
+    _, diag, plus2 = next(sp._elements(np.array([j])))
+    plus2 = plus2[:-1]
     off = sp._off_scale * plus2
     w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     s = sp._sub_two_s[j] / 2.0
@@ -792,15 +810,14 @@ def _assert_staged_matches_plain(sp, blocks):
     # 1.3e-13 of S(S+1) (moments)
     staged = 0
     for j in blocks:
-        lo, hi = sp._start[j], sp._start[j + 1]
-        if hi - lo < fcspin.exact._STAGED_DIM:
+        if sp._dims[j] < fcspin.exact._STAGED_DIM:
             continue
         while sp._low[j] < np.inf:
-            sp._advance(j)
+            sp._advance([j])
         w, moments, norm = _plain_solve(sp, j)
         s = sp._sub_two_s[j] / 2.0
-        assert np.max(np.abs(sp._energy[lo:hi] - w)) <= 1e-12 * norm, j
-        assert (np.max(np.abs(sp._moments[:, lo:hi] - moments))
+        assert np.max(np.abs(sp._block(j)[0] - w)) <= 1e-12 * norm, j
+        assert (np.max(np.abs(sp._block(j)[1:] - moments))
                 <= 1e-11 * s * (s + 1.0)), j
         staged += 1
     assert staged
@@ -850,12 +867,12 @@ def test_staged_bound_is_below_the_next_level(small_stages):
         p = draw_params(rng, n)
         for q in (p, p.with_field(0.0)):
             sp = Spectra(q)
-            for j in np.flatnonzero(np.diff(sp._start) >= 8):
-                sp._advance(j)
+            for j in np.flatnonzero(sp._dims >= 8):
+                sp._advance([j])
                 bound = sp._low[j]
-                sp._advance(j)
+                sp._advance([j])
                 # the prefix's last level, widened by the backward error
-                last = sp._energy[sp._start[j] + 2]
+                last = sp._block(j)[0, 2]
                 assert last - sp._slack[j] <= bound <= last
 
 
@@ -904,9 +921,63 @@ def test_cold_window_solves_few_levels_at_n2000():
     # the lowest levels of the large sub-blocks carry the weight at low T
     sp = Spectra(ModelParams.from_chi(2000, 0.5, 0.5))
     thermal_observables(sp, 0.14)
-    touched = int(np.diff(sp._start)[sp._solved].sum())
-    solved = int(np.isfinite(sp._energy).sum())
+    touched = int(sp._dims[sp._solved].sum())
+    solved = int(sp._count.sum())
     assert 0 < solved < 0.05 * touched
+
+
+def _arrays(obj):
+    """Every ndarray reachable through containers from obj."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _arrays(v)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+
+
+def test_a_cold_spectrum_holds_only_its_solved_levels_at_n2000():
+    # per sub-block data (n + 1 entries) and the solved levels, no array
+    # with an entry for every one of the n^2/4 levels
+    n = 2000
+    sp = Spectra(ModelParams.from_chi(n, 0.5, 0.5))
+    thermal_observables(sp, 0.14)
+    solved = int(sp._count.sum())
+    assert sp._levels.shape == (6, solved)
+    assert 0 < 6 * solved < 0.01 * (n // 2 + 1) ** 2
+    arrays = list(_arrays(vars(sp)))
+    assert any(a is sp._levels for a in arrays)
+    for a in arrays:
+        assert a.size <= max(n + 1, 6 * solved), a.shape
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3])
+def test_parity_doublet_at_zero_temperature_at_n10000(b):
+    # below b_s = 0.71 the two parity ground levels of the maximum spin are
+    # a doublet: split by 9.1e-13 at b = 0, under n eps = 2.2e-12 though
+    # over 1e-12; the T = 0 state is their equal-weight mixture
+    n = 10_000
+    fcspin.exact.eigh_tridiagonal(np.ones(2), np.ones(1))  # binds dstemr
+    tracemalloc.start()
+    try:
+        sp = Spectra(ModelParams.from_chi(n, b, 0.5))
+        corr = thermal_observables(sp, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_partition(sp, 0.0) == math.log(2.0)  # Y = 1 each
+    assert list(sp._sub_two_s[:2]) == [n, n]  # both parities of 2S = n
+    pair = sp._block(0)[1:, 0] + sp._block(1)[1:, 0]
+    want = _correlators((pair / 2.0).tolist(), n)
+    for f in ("alpha_x", "alpha_y", "alpha_z", "sz"):
+        assert math.isclose(getattr(corr, f), getattr(want, f),
+                            rel_tol=1e-14, abs_tol=1e-16), f
+    # the dstemr wrapper returns a zero-filled dim x dim eigenvector array
+    # (dim = n/2 + 1, 200 MB) even for a prefix; the rest stays under 64 MB,
+    # where n^2/4 levels would take 1.6 GB
+    assert peak - 8 * (n // 2 + 1) ** 2 <= 64 * 2**20
 
 
 def test_level_concurrence_solves_only_the_levels_sub_block():
@@ -927,7 +998,8 @@ def test_level_concurrence_matches_the_solved_spectrum(small_stages):
         full.energy  # every stage of every sub-block
         for i in rng.choice(len(full.energy), 10, replace=False):
             level = [int(a[i]) for a in (full.two_s, full.k_index, full.parity)]
-            corr = _correlators(full._moments[:, i].tolist(), n)
+            corr = _correlators([float(getattr(full, k)[i]) for k in
+                                 ("m2x", "m2y", "m2z", "m1z")], n)
             sp = Spectra(p)
             assert level_concurrence(sp, *level) == concurrence(
                 pair_density(corr, n))
@@ -1011,7 +1083,7 @@ def test_every_solve_goes_through_the_module_level_solver(staged,
     if staged:
         monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 8)
         monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 3)
-    solver, advance = fcspin.exact.eigh_tridiagonal, Spectra._advance
+    solver, advance = fcspin.exact.eigh_tridiagonal, Spectra._solve_next
     levels, stages = [], []
 
     def counting_solver(*args, **kwargs):
@@ -1019,18 +1091,18 @@ def test_every_solve_goes_through_the_module_level_solver(staged,
         levels.append(len(w))
         return w, v
 
-    def counting_advance(sp, j):
-        stages.append(int(sp._start[j + 1] - sp._start[j]))
-        advance(sp, j)
+    def counting_advance(sp, j, diag, plus2):
+        stages.append(len(diag))
+        return advance(sp, j, diag, plus2)
 
     monkeypatch.setattr(fcspin.exact, "eigh_tridiagonal", counting_solver)
-    monkeypatch.setattr(Spectra, "_advance", counting_advance)
+    monkeypatch.setattr(Spectra, "_solve_next", counting_advance)
     p = ModelParams.from_chi(100, 0.6, 0.5)
     diagonalize.cache_clear()
     thermal_concurrence(p, 0.3)
     sp = diagonalize(p)
-    dims = np.diff(sp._start)
-    solved = np.add.reduceat(np.isfinite(sp._energy), sp._start[:-1])
+    dims = sp._dims
+    solved = sp._count
     assert len(levels) == sum(d > 1 for d in stages) > 0
     # a staged sub-block's full solve returns its prefix again
     resolved = (dims >= fcspin.exact._STAGED_DIM) & (sp._low == np.inf)
