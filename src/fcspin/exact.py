@@ -72,11 +72,11 @@ _STAGED_DIM = 256
 _PREFIX_LEVELS = 16
 
 
-_dstemr = None  # LAPACK dstemr, bound on the first solve (_load_dstemr)
+_flapack = None  # SciPy's compiled LAPACK module, loaded on the first solve
 
 
-def _load_dstemr():
-    """``dstemr`` from SciPy's compiled LAPACK module ``_flapack``.
+def _load_flapack():
+    """SciPy's compiled LAPACK module ``_flapack``, for ``dstevd``/``dstemr``.
 
     ``scipy.linalg.lapack`` only re-exports that module's routines, but
     importing it runs ``scipy/linalg/__init__.py``, which loads some 300
@@ -97,22 +97,26 @@ def _load_dstemr():
                           "scipy/linalg/_flapack was not found")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstemr
+    return module
 
 
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
-    """Eigenpairs of the tridiagonal matrix (diag, off) from LAPACK ``dstemr``.
+    """Eigenpairs of the tridiagonal matrix (diag, off) from LAPACK.
 
     Returns the levels in ascending order and their eigenvectors as
-    columns; with ``lowest``, only the lowest that many.  The call is the
-    one ``scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")``
-    makes, bitwise, without its per-call checks and workspace query: the
-    off-diagonal is padded to length N, as ``?STEMR`` requires, and the
-    workspace is LAPACK's documented minimum for eigenvectors, lwork = 18 N
-    and liwork = 10 N.  The input must be finite (``Spectra`` checks its
-    elements once, when it builds them); a nonzero ``info`` raises
-    ``np.linalg.LinAlgError``.  ``dstemr`` is bound on the first call,
-    straight from SciPy's compiled LAPACK module (``_load_dstemr``), so
+    columns; with ``lowest``, only the lowest that many.  A full solve is
+    divide and conquer, ``dstevd``, with the workspace of SciPy's wrapper,
+    LAPACK's minimum lwork = 1 + 4 N + N^2 and liwork = 3 + 5 N: it is
+    ``scipy.linalg.lapack.dstevd(diag, off)``, bitwise.  A prefix is the
+    call ``scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+    select_range=(0, lowest - 1), lapack_driver="stemr")`` makes, bitwise,
+    without its per-call checks and workspace query: ``dstemr`` range 'I',
+    the off-diagonal padded to length N as ``?STEMR`` requires, and
+    LAPACK's minimum workspace for eigenvectors, lwork = 18 N and liwork =
+    10 N.  The input must be finite (``Spectra`` checks its elements once,
+    when it builds them); a nonzero ``info`` raises
+    ``np.linalg.LinAlgError``.  Both routines come from SciPy's compiled
+    LAPACK module, loaded on the first call (``_load_flapack``), so
     ``import fcspin`` loads no SciPy module and no solve loads
     ``scipy.linalg``.
 
@@ -120,16 +124,21 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
     it counts the solves and the levels they return (``perfbench/tracer.py``
     does, for ``exact.tridiag_calls`` and ``exact.levels``).
     """
-    global _dstemr
-    if _dstemr is None:
-        _dstemr = _load_dstemr()
+    global _flapack
+    if _flapack is None:
+        _flapack = _load_flapack()
+    if lowest is None:
+        w, v, info = _flapack.dstevd(diag, off)
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+        return w, v
     dim = len(diag)
     e = np.zeros(dim)
     e[:-1] = off
-    # range 'A' (0) or 'I' (2) with LAPACK's 1-based il, iu; vl, vu unused
-    rng, iu = (0, 1) if lowest is None else (2, lowest)
-    m, w, v, info = _dstemr(diag, e, rng, 0.0, 1.0, 1, iu, compute_v=1,
-                            lwork=18 * dim, liwork=10 * dim)
+    # range 'I' (2) with LAPACK's 1-based il, iu; vl, vu unused
+    m, w, v, info = _flapack.dstemr(diag, e, 2, 0.0, 1.0, 1, lowest,
+                                    compute_v=1, lwork=18 * dim,
+                                    liwork=10 * dim)
     if info:
         raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
     return w[:m], v[:, :m]
@@ -143,10 +152,12 @@ def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
     ``_PREFIX_LEVELS`` levels, then one full solve that supplies the rest
     and drops its own copy of the prefix.  A level thus always comes from
     the same call, whatever solved its sub-block's other levels.  Returns
-    the levels ``solved, solved + 1, ...`` and their eigenvectors.  Each
-    call goes through the module global ``eigh_tridiagonal`` (``dstemr``
-    with lwork = 18 N, liwork = 10 N), never a local alias: the benchmark's
-    tracer counts solves and levels by wrapping that name.
+    the levels ``solved, solved + 1, ...`` and their eigenvectors.  A
+    whole solve is divide and conquer (``dstevd``), the prefix MRRR
+    (``dstemr`` range 'I'), which finds a few levels of a large block
+    faster.  Each call goes through the module global ``eigh_tridiagonal``,
+    never a local alias: the benchmark's tracer counts solves and levels by
+    wrapping that name.
     """
     if len(diag) == 1:
         return diag.astype(float), np.ones((1, 1))
@@ -231,12 +242,13 @@ class Spectra:
     hold a level inside the Boltzmann window (see ``BOLTZMANN_CUT``),
     rebuilding those sub-blocks' elements, and keeps their levels and
     moments, in one store, for later temperatures: small
-    sub-blocks whole, large ones in two fixed stages, the lowest
-    ``_PREFIX_LEVELS`` levels first and the rest only when the window
-    reaches past them (``_solve_stage``).  Each level always comes from the
-    same solver call, and a thermal sum runs over the levels inside the cut
-    only, in a fixed order, so a result depends on (params, T) alone, not
-    on the temperatures evaluated before.
+    sub-blocks whole, by divide and conquer (``dstevd``), large ones in two
+    fixed stages, the lowest ``_PREFIX_LEVELS`` levels first by MRRR
+    (``dstemr``) and the rest, in one ``dstevd`` solve, only when the
+    window reaches past them (``_solve_stage``).  Each level always comes
+    from the same solver call, and a thermal sum runs over the levels inside
+    the cut only, in a fixed order, so a result depends on (params, T)
+    alone, not on the temperatures evaluated before.
 
     The flat per-level arrays (``energy``, ``m2x`` ... ``log_mult``,
     ``two_s``, ``parity``, ``k_index``) run over the sectors in

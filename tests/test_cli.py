@@ -30,12 +30,14 @@ from fcspin.cli import (KNOWN_OUTPUTS, METHODS, ResultRow, SweepSpec,
 SRC = str(Path(fcspin.cli.__file__).resolve().parents[1])
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, **env: str):
+    """Exit code, stdout and stderr of the CLI in a fresh process; ``env``
+    adds to its environment."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fcspin.cli", *args],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path})
+        env={**os.environ, **env, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -279,6 +281,23 @@ def test_sweep_reruns_are_byte_identical():
     _, js1, _ = run_cli(*args, "--format", "json")
     _, js2, _ = run_cli(*args, "--format", "json")
     assert js1 == js2
+
+
+def test_exact_sweep_bytes_do_not_depend_on_blas_threads():
+    # dstevd's merge steps multiply eigenvector blocks with dgemm, which
+    # OpenBLAS may split over threads
+    args = ("--n", "300", "--chi", "0.5", "--b", "0.5", "--sweep",
+            "temperature", "--from", "0.02", "--to", "2.0", "--points", "40",
+            "--outputs", "C,nC,C_plus,C_minus,alpha_x,alpha_y,alpha_z,sz,lnZ,"
+            "T_L_plus,T_L_minus")
+    outs = []
+    for threads in ("1", "2"):
+        code, out, err = run_cli(*args, OPENBLAS_NUM_THREADS=threads,
+                                 OMP_NUM_THREADS=threads)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 41
 
 
 def test_csv_column_count():

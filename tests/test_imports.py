@@ -91,31 +91,36 @@ import numpy as np
 import fcspin.exact
 
 def compare():
-    from scipy.linalg.lapack import dstemr
+    from scipy.linalg.lapack import dstemr, dstevd
     rng = np.random.default_rng(17)
     for dim in (2, 3, 17, 51, 300):
         diag, off = rng.normal(size=dim), rng.normal(size=dim - 1)
         e = np.zeros(dim)
         e[:-1] = off
-        for lowest in (None, 16) if dim >= 16 else (None,):
-            kind, iu = (0, 1) if lowest is None else (2, lowest)
-            # dstemr overwrites its off-diagonal argument: pass copies
-            m, w, v, info = dstemr(diag, e.copy(), kind, 0.0, 1.0, 1, iu,
+        # full solves are dstevd's, prefixes dstemr's range 'I'
+        w, v, info = dstevd(diag, off)
+        assert info == 0
+        pairs = [(None, (w, v))]
+        if dim >= 16:
+            # dstemr overwrites its off-diagonal argument: pass a copy
+            m, w, v, info = dstemr(diag, e.copy(), 2, 0.0, 1.0, 1, 16,
                                    compute_v=1, lwork=18 * dim,
                                    liwork=10 * dim)
             assert info == 0
+            pairs.append((16, (w[:m], v[:, :m])))
+        for lowest, want in pairs:
             got = fcspin.exact.eigh_tridiagonal(diag, off, lowest)
-            for a, b in zip(got, (w[:m], v[:, :m])):
+            for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 """
 
 
 def test_direct_dstemr_is_scipys_bitwise_after_a_solve():
-    # scipy.linalg loads after the solver bound its own _flapack
+    # scipy.linalg loads after the solver loaded its own _flapack
     code = _BITWISE + """
 fcspin.exact.eigh_tridiagonal(np.array([1.0, 2.0]), np.array([0.5]))
 import scipy.linalg
-assert fcspin.exact._dstemr is not scipy.linalg.lapack.dstemr
+assert fcspin.exact._flapack is not scipy.linalg._flapack
 compare()
 """
     assert "scipy.linalg" in _scipy_after(code)
