@@ -66,10 +66,12 @@ _VALIDATE_TOL = 1e-10  # PairDensity.validate: trace defect, lowest eigenvalue
 # levels per chunk of a sub-block build, which bounds its temporaries
 _BUILD_CHUNK = 1 << 15
 
-# sub-blocks of at least _STAGED_DIM levels are solved in two fixed stages,
-# their lowest _PREFIX_LEVELS levels first (see _solve_stage)
+# sub-blocks of at least _STAGED_DIM levels are solved in two stages, at
+# most their lowest _PREFIX_LEVELS levels first (see _solve_stage)
 _STAGED_DIM = 256
 _PREFIX_LEVELS = 16
+
+_FLOAT = np.finfo(float)
 
 
 _flapack = None  # SciPy's compiled LAPACK module, loaded on the first solve
@@ -147,26 +149,177 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
 def _solve_stage(diag: np.ndarray, off: np.ndarray, solved: int = 0):
     """Eigenpairs of a sub-block's next stage, given ``solved`` levels so far.
 
-    A sub-block of fewer than ``_STAGED_DIM`` levels is solved whole in one
-    call.  A larger one is solved in two fixed stages: its lowest
-    ``_PREFIX_LEVELS`` levels, then one full solve that supplies the rest
-    and drops its own copy of the prefix.  A level thus always comes from
-    the same call, whatever solved its sub-block's other levels.  Returns
-    the levels ``solved, solved + 1, ...`` and their eigenvectors.  A
-    whole solve is divide and conquer (``dstevd``), the prefix MRRR
-    (``dstemr`` range 'I'), which finds a few levels of a large block
-    faster.  Each call goes through the module global ``eigh_tridiagonal``,
-    never a local alias: the benchmark's tracer counts solves and levels by
-    wrapping that name.
+    Returns the levels ``solved, solved + 1, ...``, their eigenvectors on
+    rows ``lo, lo + 1, ...`` of the block (zero on every other row) and
+    ``lo``.  A sub-block of fewer than ``_STAGED_DIM`` levels is solved
+    whole in one call, by divide and conquer (``dstevd``).  A larger one is
+    solved in two stages: a prefix of at most ``_PREFIX_LEVELS`` of its
+    lowest levels (``_solve_prefix``), then one full ``dstevd`` solve that
+    supplies the rest and drops its own copy of the prefix.  How many
+    levels the prefix keeps is a function of the block's elements alone,
+    so a level always comes from the same call, whatever solved its
+    sub-block's other levels.  Each call goes through the module global
+    ``eigh_tridiagonal``, never a local alias: the benchmark's tracer
+    counts solves and levels by wrapping that name.
     """
     if len(diag) == 1:
-        return diag.astype(float), np.ones((1, 1))
+        return diag.astype(float), np.ones((1, 1)), 0
     if len(diag) < _STAGED_DIM:
-        return eigh_tridiagonal(diag, off)
+        return (*eigh_tridiagonal(diag, off), 0)
     if not solved:
-        return eigh_tridiagonal(diag, off, lowest=_PREFIX_LEVELS)
+        return _solve_prefix(diag, off)
     w, v = eigh_tridiagonal(diag, off)
-    return w[solved:], v[:, solved:]
+    return w[solved:], v[:, solved:], 0
+
+
+def _solve_prefix(diag: np.ndarray, off: np.ndarray):
+    """The certified lowest levels of a staged block, solved on a window.
+
+    The lowest ``_PREFIX_LEVELS`` levels of these blocks live on a band of
+    rows around the minimum of the diagonal and decay outside it, so they
+    are solved (``dstemr`` range 'I') on the rows that ``_prefix_window``
+    picks, their padding doubled until every returned vector v meets
+    |off_edge v_edge| <= tol = dim eps norm at both window edges.  Padded
+    with zeros, the vectors are Ritz vectors of the whole block whose
+    residual has only those two rows, of norm r, so their levels lie
+    within r of as many levels of the block (Kahan's residual bound;
+    Parlett, *The Symmetric Eigenvalue Problem*, chs. 4 and 11).
+    ``_certified_count`` keeps the lowest of them that a Sturm count of the
+    whole block confirms: no level was skipped below them, and the next
+    lies more than r + tol above the last kept, so a pair degenerate to
+    rounding is never split between this call and the full solve.  If
+    none is confirmed, the whole block is solved for the same levels, and
+    if a cluster leaves no confirmed cut even there, the block is solved
+    whole by ``dstevd`` at once.  Returns (levels, eigenvectors, lo) as
+    ``_solve_stage`` does.
+    """
+    dim, count = len(diag), _PREFIX_LEVELS
+    a = np.abs(off)
+    radius = np.append(a, 0.0)
+    radius[1:] += a
+    # a zero block would make tol 0; its levels are one cluster anyway
+    tol = dim * _FLOAT.eps * (float((np.abs(diag) + radius).max()) or 1.0)
+    e2 = off * off
+    lo, hi, pad = _prefix_window(diag, a, diag - radius, count, tol)
+    while True:
+        top, end = max(lo - pad[0], 0), min(hi + pad[1], dim)
+        w, v = eigh_tridiagonal(diag[top:end], off[top:end - 1],
+                                lowest=count)
+        left = a[top - 1] * v[0] if top else np.zeros(len(w))
+        right = a[end - 1] * v[-1] if end < dim else np.zeros(len(w))
+        if (top, end) == (0, dim) or max(np.abs(left).max(),
+                                         np.abs(right).max()) <= tol:
+            break
+        pad = (max(2 * pad[0], 16), max(2 * pad[1], 16))
+    r = math.sqrt(left @ left + right @ right)
+    kept = _certified_count(diag, e2, w, r + tol)
+    if not kept and (top, end) != (0, dim):
+        top = 0
+        w, v = eigh_tridiagonal(diag, off, lowest=count)
+        kept = _certified_count(diag, e2, w, tol)
+    if not kept:
+        return (*eigh_tridiagonal(diag, off), 0)
+    return w[:kept], v[:, :kept], top
+
+
+def _prefix_window(diag, a, lower, count: int, tol: float):
+    """Rows [lo, hi) holding the peaks of the block's ``count`` lowest
+    levels, and the padding (left, right) their decay calls for.
+
+    An eigenvector peaks on a row whose Gershgorin lower bound ``lower``
+    lies at or below its level, so the rows whose bound lies at or below
+    an upper bound on level ``count`` hold every such peak; the window is
+    their hull.  The upper bound takes no solve: the vectors sin(pi i /
+    (m + 1)), i = 1 .. m, with signs that make every off-diagonal term
+    negative, on ``count`` runs of m rows one row apart, are orthogonal
+    and T is diagonal on their span, so their largest Rayleigh quotient
+    bounds level ``count`` from above (Courant-Fischer).  The runs are
+    placed around the lowest ``lower`` and m runs over powers of two; the
+    least bound is kept.  Outside the hull a vector at a level below the
+    bound U decays by about exp(-kappa) per row, cosh kappa = (diag - U) /
+    (2 sqrt|off_left off_right|) (the WKB rate, for elements that vary
+    slowly from row to row), and the padding on each side is the rows
+    this takes to bring an amplitude of 1 down to tol / max|off|.
+    ``_solve_prefix`` widens a window whose vectors decay more slowly.
+    """
+    dim = len(diag)
+    centre = int(lower.argmin())
+    bound, m = np.inf, 1
+    while count * (m + 1) - 1 <= dim:
+        rows, x2, xx = _trial_runs(count, m)
+        # the runs centred on the lowest row, as far as the block allows
+        rows = rows + min(max(centre - rows[-1, -1] // 2, 0),
+                          dim - 1 - rows[-1, -1])
+        q = float((diag[rows] @ x2 - a[rows[:, :-1]] @ xx).max())
+        if q >= bound:
+            break
+        bound, m = q, 2 * m
+    bound += tol  # the quotients' own rounding
+    seed = np.flatnonzero(lower <= bound)
+    lo, hi = int(seed[0]), int(seed[-1]) + 1
+    # decay rate per row at the bound, on the rows outside the hull
+    g = np.empty(dim)  # sqrt|off_left off_right|
+    g[0], g[-1] = a[0], a[-1]
+    np.sqrt(a[:-1] * a[1:], out=g[1:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.arccosh(np.maximum((diag - bound) / (2.0 * g), 1.0))
+    need = math.log(max(float(a.max()), tol) / tol)
+    pad = (int(np.searchsorted(np.cumsum(kappa[lo - 1::-1] if lo else []),
+                               need)) + 1,
+           int(np.searchsorted(np.cumsum(kappa[hi:]), need)) + 1)
+    return lo, hi, pad
+
+
+@lru_cache(maxsize=None)
+def _trial_runs(count: int, m: int):
+    """``count`` runs of m rows one row apart, as rows from 0, and the
+    weights of a Rayleigh quotient on each: x_i^2 and 2 |x_i x_i+1|, both
+    over |x|^2, for x_i = sin(pi i / (m + 1))."""
+    x = np.sin(np.pi / (m + 1) * np.arange(1, m + 1))
+    x /= math.sqrt(x @ x)
+    rows = (m + 1) * np.arange(count)[:, None] + np.arange(m)
+    return (_read_only(rows), _read_only(x * x),
+            _read_only(2.0 * x[:-1] * x[1:]))
+
+
+def _certified_count(diag, e2, w, slack: float) -> int:
+    """How many of the lowest levels w of a block a Sturm count confirms.
+
+    The levels w lie within their residual bound of as many levels of the
+    block (diag, off), e2 = off^2, and ``slack`` is that bound plus the
+    tolerance.  The lowest k are confirmed when the block has exactly k
+    levels below w[k - 1] + slack: none was skipped, and the next lies
+    above that.  Tries k = len(w), then once k below the last gap of w
+    wider than ``slack``, which leaves out a pair degenerate to rounding
+    that straddles the first cut.  Returns 0 if neither is confirmed.
+    """
+    k = len(w)
+    for _ in range(2):
+        if _sturm_count(diag, e2, float(w[k - 1]) + slack) == k:
+            return k
+        wide = np.flatnonzero(np.diff(w[:k]) > slack)
+        if not len(wide):
+            return 0
+        k = int(wide[-1]) + 1
+    return 0
+
+
+def _sturm_count(diag, e2, x: float) -> int:
+    """Levels of the tridiagonal block (diag, off) below x, e2 = off^2.
+
+    The negative pivots of the LDL^T factorization of T - x I (Sylvester's
+    inertia), in the recurrence of LAPACK's ``dstebz`` (Barth, Martin &
+    Wilkinson 1967), pivots of magnitude below ``pivmin`` set to -pivmin.
+    """
+    pivmin = _FLOAT.tiny * max(1.0, float(e2.max()))
+    count, q = 0, 1.0
+    for d, b in zip((diag - x).tolist(), [0.0, *e2.tolist()]):
+        q = d - b / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
 
 
 def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
@@ -243,12 +396,16 @@ class Spectra:
     rebuilding those sub-blocks' elements, and keeps their levels and
     moments, in one store, for later temperatures: small
     sub-blocks whole, by divide and conquer (``dstevd``), large ones in two
-    fixed stages, the lowest ``_PREFIX_LEVELS`` levels first by MRRR
-    (``dstemr``) and the rest, in one ``dstevd`` solve, only when the
-    window reaches past them (``_solve_stage``).  Each level always comes
-    from the same solver call, and a thermal sum runs over the levels inside
-    the cut only, in a fixed order, so a result depends on (params, T)
-    alone, not on the temperatures evaluated before.
+    stages (``_solve_stage``).  The first solves the lowest
+    ``_PREFIX_LEVELS`` levels by MRRR (``dstemr``) on the rows they live
+    on, and keeps those that a residual bound and a Sturm count of the
+    whole block certify (``_solve_prefix``); the second, one ``dstevd``
+    solve, supplies the rest, only when the window reaches past them.  How
+    many levels the first keeps depends on the block alone, so each level
+    always comes from the same solver call; a thermal sum runs over the
+    levels inside the cut only, in a fixed order, so a result depends on
+    (params, T) alone, not on the temperatures evaluated before.  The
+    moments of a level come from the rows its eigenvector was solved on.
 
     The flat per-level arrays (``energy``, ``m2x`` ... ``log_mult``,
     ``two_s``, ``parity``, ``k_index``) run over the sectors in
@@ -357,13 +514,16 @@ class Spectra:
                     plus2: np.ndarray) -> np.ndarray:
         """Sub-block j's next stage: its new levels as columns of the store."""
         done = int(self._count[j])
-        w, v = _solve_stage(diag, self._off_scale * plus2, done)
+        # the eigenvectors live on rows lo .. hi - 1 of the sub-block
+        w, v, lo = _solve_stage(diag, self._off_scale * plus2, done)
+        hi = lo + len(v)
         p = v * v
         s = self._sub_two_s[j] / 2.0
-        m = np.arange(self._sub_first[j] - s, s + 1.0, 2.0)  # M, exact
+        m = np.arange(self._sub_first[j] - s, s + 1.0, 2.0)[lo:hi]  # M, exact
         mz2 = (m * m) @ p
         # <S_+^2 + S_-^2> = 2 sum_j c_j v_j v_{j+1} for real eigenvectors
-        pp = 2.0 * (plus2 @ (v[:-1] * v[1:])) if len(diag) > 1 else 0.0
+        pp = (2.0 * (plus2[lo:hi - 1] @ (v[:-1] * v[1:])) if hi > lo + 1
+              else 0.0)
         half = 0.5 * (s * (s + 1.0) - mz2)
         new = np.empty((6, len(w)))
         new[0], new[1], new[2] = w, half + 0.25 * pp, half - 0.25 * pp

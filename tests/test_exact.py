@@ -607,16 +607,18 @@ def _per_sector_reference(p: ModelParams) -> dict:
                 out[k].append(np.asarray(a))
             solved = 0
             while solved < dim:
-                w, v = _solve_stage(diag, off, solved)
+                w, v, lo = _solve_stage(diag, off, solved)
                 solved += len(w)
+                hi = lo + len(v)  # the rows the eigenvectors live on
                 pr = v * v
-                mz2 = (m * m) @ pr
-                pp = 2.0 * (ladder @ (v[:-1] * v[1:])) if dim > 1 else 0.0
+                mz2 = (m[lo:hi] * m[lo:hi]) @ pr
+                pp = (2.0 * (ladder[lo:hi - 1] @ (v[:-1] * v[1:]))
+                      if hi > lo + 1 else 0.0)
                 s = ts / 2.0
                 half = 0.5 * (s * (s + 1.0) - mz2)
                 for k, a in (("energy", w), ("m2x", half + 0.25 * pp),
                              ("m2y", half - 0.25 * pp), ("m2z", mz2),
-                             ("m1z", m @ pr)):
+                             ("m1z", m[lo:hi] @ pr)):
                     out[k].append(np.asarray(a))
     return {k: np.concatenate(v) for k, v in out.items()}
 
@@ -928,19 +930,189 @@ def test_staged_batched_results_do_not_depend_on_earlier_temperatures(
     assert np.array_equal(Spectra(p)._thermal_moments(warm), got_warm)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a quasi-degenerate pair split between the prefix and the full solve "
-    "takes its two levels from two calls, each with its own rotation "
-    "within the pair"))
 def test_zero_field_magnetization_vanishes_in_a_staged_spectrum():
     # at b = 0 the flip M -> -M is a symmetry, so sz = 0.  Near the XX line
     # the low levels come in tunnelling pairs, and levels 15 and 16 of the
-    # largest sub-block are one, degenerate to rounding: the prefix's level
-    # 15 has m1z 0.72 and the full solve's level 16 has 15.7, where the
-    # pair's sum is 0.  sz reads -8.2e-5 (-1.9e-5 when the full solves were
-    # dstemr's), against 1e-16 with every sub-block solved whole.
+    # largest sub-block are one, degenerate to rounding.  Split between the
+    # prefix and the full solve, each call would rotate the pair its own
+    # way (m1z 0.72 and 15.7, where the pair's sum is 0) and sz would read
+    # -8.2e-5, so the prefix keeps only the levels below a certified gap.
     p = ModelParams(n=600, b=0.0, v_x=1.0, v_y=0.999, v_z=0.0)
     assert abs(thermal_observables(Spectra(p), 0.2).sz) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# windowed prefixes: the lowest levels of a staged block, solved on the rows
+# they live on
+
+
+def _recording_solver(monkeypatch):
+    """Wrap the module-level solver; returns its (rows, lowest) per call."""
+    solver, calls = fcspin.exact.eigh_tridiagonal, []
+
+    def recording(diag, off, lowest=None):
+        calls.append((len(diag), lowest))
+        return solver(diag, off, lowest)
+
+    monkeypatch.setattr(fcspin.exact, "eigh_tridiagonal", recording)
+    return calls
+
+
+def _tolerance(diag, off) -> float:
+    return len(diag) * np.finfo(float).eps * _block_norm(diag, off)
+
+
+def _assert_prefix_matches_the_whole_block(diag, off, m, ladder, s):
+    """The windowed prefix against the whole-block dstemr prefix: levels to
+    1e-12 of the block norm, a gap above the last kept level, the residual
+    of the zero-padded vectors, and moments per isolated level and summed
+    over each run of levels closer than 1e-6 of the norm, to 1e-9 S(S+1).
+    Returns the window's rows."""
+    prefix = fcspin.exact._PREFIX_LEVELS
+    norm = _block_norm(diag, off)
+    w, v, lo = _solve_stage(diag, off)
+    hi = lo + len(v)
+    k = len(w)
+    want_w, want_v = fcspin.exact.eigh_tridiagonal(diag, off,
+                                                    lowest=prefix + 1)
+    assert 0 < k <= prefix and v.shape == (hi - lo, k)
+    assert np.max(np.abs(w - want_w[:k])) <= 1e-12 * norm
+    assert want_w[k] - w[-1] > _tolerance(diag, off)
+    # zero-padded, the window's vectors are the whole block's to its
+    # tolerance dim eps norm: |T x - w x| (worst seen 0.18 of it)
+    x = np.zeros((len(diag), k))
+    x[lo:hi] = v
+    res = diag[:, None] * x - w * x
+    res[:-1] += off[:, None] * x[1:]
+    res[1:] += off[:, None] * x[:-1]
+    assert np.max(np.linalg.norm(res, axis=0)) <= _tolerance(diag, off)
+    got = _level_moments(s, m[lo:hi], ladder[lo:hi - 1], v)
+    want = _level_moments(s, m, ladder, want_v[:, :k])
+    run = np.append(0, np.cumsum(np.diff(want_w) > 1e-6 * norm))
+    inside = run[:k] < run[k]  # runs that the cut does not split
+    sums = [np.array([np.bincount(run[:k][inside], weights=row[inside])
+                      for row in a]) for a in (got, want)]
+    assert np.max(np.abs(sums[0] - sums[1])) <= 1e-9 * s * (s + 1.0)
+    return hi - lo
+
+
+def _prefix_draws():
+    """Seeded staged-size draws: broken and normal phase, b = 0, b near b_c
+    = v_x - v_z, and v_z < 0."""
+    rng = np.random.default_rng(113)
+    for n in (520, 2000, 8000):
+        chi = float(rng.uniform(0.1, 0.9))
+        yield ModelParams.from_chi(n, float(rng.uniform(0.1, 0.9)), chi)
+        yield ModelParams.from_chi(n, float(rng.uniform(1.1, 2.0)), chi)
+        yield ModelParams.from_chi(n, 0.0, chi)
+        yield ModelParams.from_chi(n, 1.0 - 1e-3, chi)
+        yield ModelParams(n=n, b=float(rng.uniform(0.0, 1.5)), v_x=1.0,
+                          v_y=float(rng.uniform(-1.0, 1.0)),
+                          v_z=float(rng.uniform(-1.0, -0.1)))
+
+
+def test_windowed_prefix_matches_the_whole_block_prefix(monkeypatch):
+    # two sectors of each draw, both parity halves: the largest and one
+    # 5% of n below it (at n = 520, the smallest staged one); every prefix
+    # is one call on fewer rows than the block, and at n = 8000 on fewer
+    # than a third of them
+    calls = _recording_solver(monkeypatch)
+    for p in _prefix_draws():
+        for ts in (p.n, max(p.n - 2 * (p.n // 40), 512)):
+            for _, m, diag, ladder, off in parity_halves(p, ts):
+                calls.clear()
+                rows = _assert_prefix_matches_the_whole_block(
+                    diag, off, m, ladder, ts / 2.0)
+                assert calls[0] == (rows, fcspin.exact._PREFIX_LEVELS)
+                assert len(calls) == 2  # and the reference call
+                assert rows < (len(diag) if p.n < 8000 else len(diag) / 3)
+
+
+def _slow_decay_block():
+    """A quadratic well whose levels leak, past row 130, into a chain of
+    alternating couplings 10 and 0.1: there they decay far slower than the
+    window's padding, which assumes slowly varying elements, predicts."""
+    r = np.arange(300)
+    diag, off = 0.002 * (r - 100.0) ** 2, np.ones(299)
+    off[130:] = np.where(r[130:-1] % 2, 0.1, 10.0)
+    # the chain's Gershgorin lower bound is 1, above the 16th level
+    diag[130], diag[131:] = 12.0, 11.1
+    return diag, off
+
+
+def test_a_window_whose_vectors_reach_its_edge_is_widened(monkeypatch):
+    # the first window's vectors fail the residual test at its right edge,
+    # so its padding doubles once; the result is still the whole block's
+    calls = _recording_solver(monkeypatch)
+    diag, off = _slow_decay_block()
+    m = np.arange(len(diag), dtype=float)
+    rows = _assert_prefix_matches_the_whole_block(diag, off, m,
+                                                  np.ones(len(off)), 150.0)
+    prefix = fcspin.exact._PREFIX_LEVELS
+    assert calls[:2] == [(calls[0][0], prefix), (rows, prefix)]
+    assert calls[0][0] < rows < len(diag)
+
+
+def test_a_level_outside_the_window_reaches_the_whole_block_prefix(
+        monkeypatch):
+    # v_z above (v_x + v_y)/2 bends the diagonal down at both ends of a
+    # sub-block: two wells, with the lowest levels in both.  Their hull
+    # holds both, so the window is cut to the first half of the block
+    # here; the Sturm count then finds the levels of the other well
+    # missing and the prefix falls back to one whole-block call
+    p = ModelParams(n=600, b=0.002, v_x=1.0, v_y=0.5, v_z=2.0)
+    _, _, diag, _, off = parity_halves(p, p.n)[0]
+    window = fcspin.exact._prefix_window
+
+    def first_half(diag, *args):
+        lo, hi, pad = window(diag, *args)
+        return lo, min(hi, len(diag) // 2), pad
+
+    monkeypatch.setattr(fcspin.exact, "_prefix_window", first_half)
+    calls = _recording_solver(monkeypatch)
+    w, v, lo = _solve_stage(diag, off)
+    prefix = fcspin.exact._PREFIX_LEVELS
+    assert calls == [(calls[0][0], prefix), (len(diag), prefix)]
+    assert calls[0][0] < len(diag)
+    want_w, want_v = fcspin.exact.eigh_tridiagonal(diag, off, lowest=prefix)
+    assert lo == 0 and len(w) == prefix
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+    # and the levels of both wells are among them
+    weight = v * v
+    half = len(diag) // 2
+    assert (weight[half:].sum(axis=0) > 0.5).any()
+    assert (weight[:half].sum(axis=0) > 0.5).any()
+
+
+def test_a_cluster_without_a_certified_gap_is_solved_whole(monkeypatch):
+    # 40 levels exactly at 0 (uncoupled rows): no cut inside the cluster is
+    # certified by the window's call or the whole block's prefix, so the
+    # stage solves the whole block with dstevd and completes it
+    diag = np.append(np.zeros(40), 1.0 + 0.01 * np.arange(260))
+    off = np.append(np.zeros(40), np.full(259, 0.1))
+    calls = _recording_solver(monkeypatch)
+    w, v, lo = _solve_stage(diag, off)
+    prefix = fcspin.exact._PREFIX_LEVELS
+    assert calls == [(calls[0][0], prefix), (300, prefix), (300, None)]
+    assert calls[0][0] < 300 and lo == 0
+    want_w, want_v, _ = dstevd(diag, off)
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def test_a_straddling_pair_stays_with_the_full_solve():
+    # levels 15 and 16 of the largest sub-block of the b = 0 draw of
+    # test_zero_field_magnetization_vanishes_in_a_staged_spectrum are a
+    # pair degenerate to rounding: the prefix keeps levels 0-14 and the
+    # full solve supplies both of the pair
+    p = ModelParams(n=600, b=0.0, v_x=1.0, v_y=0.999, v_z=0.0)
+    sp = Spectra(p)
+    sp._advance([0])
+    prefix = fcspin.exact._PREFIX_LEVELS
+    assert sp._count[0] == prefix - 1
+    sp._advance([0])
+    e = sp._block(0)[0]
+    assert e[prefix] - e[prefix - 1] <= sp._slack[0]
+    assert e[prefix - 1] - e[prefix - 2] > sp._slack[0]
 
 
 def test_cold_window_solves_few_levels_at_n2000():
@@ -1000,10 +1172,10 @@ def test_parity_doublet_at_zero_temperature_at_n10000(b):
     for f in ("alpha_x", "alpha_y", "alpha_z", "sz"):
         assert math.isclose(getattr(corr, f), getattr(want, f),
                             rel_tol=1e-14, abs_tol=1e-16), f
-    # the dstemr wrapper returns a zero-filled dim x dim eigenvector array
-    # (dim = n/2 + 1, 200 MB) even for a prefix; the rest stays under 64 MB,
-    # where n^2/4 levels would take 1.6 GB
-    assert peak - 8 * (n // 2 + 1) ** 2 <= 64 * 2**20
+    # n^2/4 levels would take 1.6 GB.  Both prefixes are windowed, so no
+    # call returns the dstemr wrapper's zero-filled dim x dim eigenvector
+    # array (dim = n/2 + 1, 200 MB), which a whole-block prefix would add
+    assert peak <= 64 * 2**20
 
 
 def test_level_concurrence_solves_only_the_levels_sub_block():
