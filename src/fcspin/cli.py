@@ -416,8 +416,8 @@ def _build_job(args, parser: argparse.ArgumentParser):
     if vy is None and chi is None:
         parser.error("one of --vy/--chi is required (flag or config)")
     temperature = float(pick("T", 0.0))
-    if temperature < 0:
-        parser.error("--T must be nonnegative")
+    if not 0 <= temperature < math.inf:
+        parser.error("--T must be finite and nonnegative")
     fmt = pick("format", "csv")
     if fmt not in FORMATS:
         parser.error(f"unknown format {fmt!r}")
@@ -447,6 +447,8 @@ def _build_job(args, parser: argparse.ArgumentParser):
             start, stop = pick("from"), pick("to")
             if start is None or stop is None:
                 parser.error("--from and --to are required for a sweep")
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                parser.error("--from and --to must be finite")
             points = int(pick("points", 50))
             geometric = bool(pick("geometric", False))
             if geometric and (start <= 0 or stop <= 0):

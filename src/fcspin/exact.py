@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .params import ModelParams
-from .roots import _sign_changes, _value, brentq
+from .roots import _sign_changes, brentq
 from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
 
@@ -610,6 +610,10 @@ class Spectra:
             return self._last[1]
         self._last = None  # freed before the new weights are made
         if len(t) == 1:  # every solved level, each less the top
+            # kept apart from the chunk branch on purpose (n = 100, 2-core
+            # VM): one T > 0 through that branch made a cached 200-T sweep
+            # take 17 -> 28 ms, and scan columns bitwise equal to this branch
+            # made a fresh limit_temperatures take 24 -> 31-46 ms
             if not self._complete:
                 self._solve_window(t)
             e, lm = self._levels[0], self._levels[5]
@@ -765,8 +769,8 @@ def diagonalize(params: ModelParams) -> Spectra:
 
 
 def _one_temperature(T: float) -> np.ndarray:
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0 <= T < math.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     return np.array([T], dtype=float)
 
 
@@ -986,15 +990,18 @@ def _signed_c_of_t(spectra: Spectra, T: float) -> tuple[float, float]:
     return rep.c_plus, rep.c_minus
 
 
-def _signed_c_component(T: float, spectra: Spectra, comp: int) -> float:
+def _signed_c_between(T: float, spectra: Spectra, comp: int,
+                      table: dict) -> float:
     """C_+ (comp 0) or C_- (comp 1) at T, for ``brentq(..., args=...)``.
 
+    A scanned T reads its row of ``table``, so the polish starts from the
+    signs the scan found; only a T strictly inside a bracket is evaluated.
     The spectrum travels in ``args``, not in a closure: ``roots.brentq``
     holds the callable and its arguments only in its own frame, so the
     spectrum dies with its ``diagonalize`` cache entry, without waiting for
     a GC run (``tests/test_exact.py`` checks this with the collector off).
     """
-    return _signed_c_of_t(spectra, T)[comp]
+    return (table[T] if T in table else _signed_c_of_t(spectra, T))[comp]
 
 
 def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
@@ -1012,47 +1019,37 @@ def limit_temperatures(params: ModelParams, *,
                        t_max: float = 2.0) -> LimitTemperatures:
     """All temperature intervals where C_+ > 0 and where C_- > 0.
 
-    Scans a geometric grid of ``LIMIT_SCAN_POINTS`` temperatures in
-    [1e-4, t_max] v_x and polishes every sign change to 1e-5 v_x; a node
-    where C_pm is exactly 0 is itself an interval end
-    (``roots._sign_changes``).  On 40 seeded draws at n <= 60, ten of them
+    Tabulates C_pm at T = 0 (the ground manifold) and, in one batched pass
+    (``_signed_c_on_grid``), on a geometric grid of ``LIMIT_SCAN_POINTS``
+    temperatures in [1e-4, t_max] v_x.  Every interval end comes from one
+    sign-change scan of that table (``roots._sign_changes``): a node where
+    C_pm is exactly 0 is itself an end, and a bracket is polished to
+    1e-5 v_x by ``brentq`` from its tabulated ends, evaluating only the
+    temperatures inside it.  On 40 seeded draws at n <= 60, ten of them
     just above the factorizing field, the intervals match a 20 000-point
     scan (``tests/test_roots.py``).
-    The grid is tabulated in one batched pass (``_signed_c_on_grid``); only
-    the bracket polish and the T = 0 value evaluate point by point.
-    An interval starting at the bottom of the window is extended to T = 0
-    when the ground-manifold concurrence is itself positive.
     """
     spectra = diagonalize(params)
     vx = params.v_x
-    grid = np.geomspace(1e-4 * vx, t_max * vx, LIMIT_SCAN_POINTS)
-    c0 = _signed_c_of_t(spectra, 0.0)
-    vals = _signed_c_on_grid(spectra, grid)
+    t = np.concatenate(([0.0], np.geomspace(1e-4 * vx, t_max * vx,
+                                            LIMIT_SCAN_POINTS)))
+    vals = np.vstack((_signed_c_of_t(spectra, 0.0),
+                      _signed_c_on_grid(spectra, t[1:])))
+    table = dict(zip(t.tolist(), vals.tolist()))
     xtol = 1e-5 * vx
 
     out = []
     for comp in (0, 1):
-        args = (spectra, comp)
+        col = vals[:, comp]
+        args = (spectra, comp, table)
         # alternating starts and ends of the positive runs
-        edges = [float(grid[0])] if vals[0, comp] > 0 else []
-        for c in _sign_changes(grid, vals[:, comp]):
-            x = c.polish(brentq, _signed_c_component, xtol=xtol, args=args)
+        edges = [0.0] if col[0] > 0 else []
+        for c in _sign_changes(t, col):
+            x = c.polish(brentq, _signed_c_between, xtol=xtol, args=args)
             edges += [x] * ((c.before > 0) + (c.after > 0))
         if len(edges) % 2:
-            edges.append(float(grid[-1]))
-        ivs = list(zip(edges[::2], edges[1::2]))
-        # extend down to T = 0 when the ground manifold is itself entangled
-        if c0[comp] > 0:
-            if ivs and ivs[0][0] <= grid[0] * (1 + 1e-12):
-                ivs[0] = (0.0, ivs[0][1])
-            elif (vals[0, comp] <= 0 and
-                  _value(_signed_c_component, 1e-9 * vx, args) >= 0):
-                # a sliver below the scan window: it ends between 1e-9 v_x
-                # and grid[0]; a failure in there propagates
-                root = brentq(_signed_c_component, 1e-9 * vx, grid[0],
-                              xtol=xtol, args=args)
-                ivs.insert(0, (0.0, float(root)))
-        out.append(tuple(ivs))
+            edges.append(float(t[-1]))
+        out.append(tuple(zip(edges[::2], edges[1::2])))
     return LimitTemperatures(plus=out[0], minus=out[1])
 
 

@@ -62,10 +62,31 @@ def test_bad_arguments_exit_2():
         ("--n", "40", "--chi", "0.5", "--method", "oracle"),  # oracle too big
         ("--n", "10", "--chi", "0.5", "--outputs", "bogus"),
         ("--n", "10", "--chi", "0.5", "--sweep", "field", "--points", "5"),
+        # non-finite temperatures and sweep ends
+        ("--n", "10", "--chi", "0.5", "--b", "0.4", "--T", "inf",
+         "--method", "mfrpa_full"),
+        ("--n", "10", "--chi", "0.5", "--T", "nan", "--method", "exact"),
+        ("--n", "10", "--chi", "0.5", "--sweep", "temperature",
+         "--from", "0.1", "--to", "nan", "--points", "3"),
+        ("--n", "10", "--chi", "0.5", "--sweep", "field",
+         "--from=-inf", "--to", "1", "--points", "3"),
     ]
     for args in cases:
         code, _, err = run_cli(*args)
         assert code == 2, (args, err)
+
+
+@pytest.mark.parametrize("bad", [
+    {"T": math.inf},
+    {"sweep": "temperature", "from": 0.1, "to": math.nan, "points": 3},
+], ids=["T-inf", "to-nan"])
+def test_nonfinite_config_value_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"n": 8, "chi": 0.5, **bad}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3():

@@ -408,6 +408,14 @@ def test_level_concurrence_unknown_level():
         level_concurrence(sp, 3, 0, 1)  # no such sector for even n
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_point_temperatures_must_be_finite_and_nonnegative(T):
+    sp = diagonalize(ModelParams.from_chi(6, 0.3, 0.5))
+    for f in (thermal_observables, log_partition):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            f(sp, T)
+
+
 def test_scalar_results_are_python_floats():
     # the CLI prints repr, and repr of a NumPy scalar reads np.float64(...)
     p = ModelParams.from_chi(12, 0.4, 0.5, v_z=-0.2)

@@ -196,7 +196,7 @@ def test_limit_temperatures_just_above_the_factorizing_field(monkeypatch):
     # resolves the low-T window
     sizes = _spy(monkeypatch, fcspin.exact)
     lt = limit_temperatures(ModelParams.from_chi(100, 0.72, 0.5))
-    assert sizes == [fcspin.exact.LIMIT_SCAN_POINTS] * 2
+    assert sizes == [fcspin.exact.LIMIT_SCAN_POINTS + 1] * 2
     assert lt.minus == ()
     (lo, hi), = lt.plus
     assert lo == 0.0
@@ -211,6 +211,51 @@ def _positive_runs(grid, values) -> list[tuple[float, float, float, float]]:
     last = len(grid) - 1
     return [(grid[max(a - 1, 0)], grid[a], grid[b], grid[min(b + 1, last)])
             for a, b in zip(starts, ends)]
+
+
+def test_limit_temperatures_start_an_interval_below_the_scan():
+    # just above the finite-n factorizing field (1 - 1/n) b_s, C_+ > 0 only
+    # on a sliver above T = 0 and C_- turns positive where it ends, below
+    # the grid's first node: the C_- interval starts at its polished
+    # crossing, which a dense scan of [1e-7, 1e-4] v_x brackets
+    p = ModelParams.from_chi(6, 0.5892562402444406, 0.5)
+    xtol = 1e-5 * p.v_x
+    lt = limit_temperatures(p)
+    (zero, plus_end), = lt.plus
+    (lo, _), = lt.minus
+    assert zero == 0.0
+    assert lo < 1e-4 * p.v_x
+    assert abs(lo - plus_end) <= 2 * xtol
+    fine = np.geomspace(1e-7, 1e-4, 2000) * p.v_x
+    vals = fcspin.exact._signed_c_on_grid(fcspin.diagonalize(p), fine)
+    (lo_a, lo_b, _, _), = _positive_runs(fine, vals[:, 1])
+    assert lo_a > fine[0]
+    assert lo_a - xtol <= lo <= lo_b + xtol
+
+
+def test_limit_temperatures_polish_from_the_scanned_values(monkeypatch):
+    # the batched scan and the single-T path may disagree in the last bits:
+    # at a node next to a root the single-T sign is the other one, and the
+    # polish must still start from the scanned value
+    p = ModelParams.from_chi(4, 0.3, 0.5)
+    grid = np.geomspace(1e-4, 2.0, fcspin.exact.LIMIT_SCAN_POINTS)
+    k = 200
+    nodes = np.where(np.arange(len(grid)) < k, 1.0, -1.0)
+    nodes[k] = 1e-13
+
+    def signed(spectra, T):
+        v = -1e-13 if T == grid[k] else float(np.interp(T, grid, nodes))
+        return v, v
+
+    monkeypatch.setattr(fcspin.exact, "_signed_c_of_t", signed)
+    monkeypatch.setattr(fcspin.exact, "_signed_c_on_grid",
+                        lambda spectra, ts: np.column_stack(
+                            [np.interp(ts, grid, nodes)] * 2))
+    lt = limit_temperatures(p)
+    for ivs in (lt.plus, lt.minus):
+        (lo, hi), = ivs
+        assert lo == 0.0
+        assert grid[k] <= hi <= grid[k + 1]
 
 
 def test_limit_temperatures_match_a_dense_scan():
@@ -351,11 +396,11 @@ def _old_positive_intervals(grid, values, f, xtol):
 
 def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
     # C_pm(T) replaced by piecewise-linear curves through random node values
-    # with exact and touching zeros (and no ground-state entanglement, so no
-    # extension to T = 0); the intervals must equal the old pair-by-pair
-    # assembly, bitwise
+    # with exact and touching zeros, and -1 at T = 0; the intervals must
+    # equal the old pair-by-pair assembly over T = 0 and the grid, bitwise
     p = ModelParams.from_chi(4, 0.0, 0.5)
     grid = np.geomspace(1e-4, 2.0, fcspin.exact.LIMIT_SCAN_POINTS)
+    scan = np.concatenate(([0.0], grid))
     rng = np.random.default_rng(7)
     for _ in range(20):
         signs = rng.choice([-1.0, 0.0, 1.0], size=(len(grid), 2),
@@ -376,6 +421,7 @@ def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
         got = limit_temperatures(p)
         for k, ivs in enumerate((got.plus, got.minus)):
             f = lambda t, k=k: signed(None, t)[k]
-            want = _old_positive_intervals(grid, nodes[:, k], f, 1e-5)
+            want = _old_positive_intervals(
+                scan, np.concatenate(([f(0.0)], nodes[:, k])), f, 1e-5)
             assert len(want) > 5
             assert list(ivs) == want
