@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import BreakdownError, NumericalError
 from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
 from .meanfield import _fd_stencil
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 
 __all__ = [
     "CspaResult",
@@ -46,15 +46,6 @@ __all__ = [
     "cspa_concurrence",
     "cspa_result",
 ]
-
-
-def __getattr__(name: str):
-    # not called: perfbench/tracer.py wraps ``minimize_scalar`` as the
-    # static-path solver, so the name resolves, but SciPy loads only then
-    if name == "minimize_scalar":
-        from scipy.optimize import minimize_scalar
-        return minimize_scalar
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _TWO_PI = 2.0 * math.pi
@@ -356,12 +347,14 @@ def _kernels(params: ModelParams, T: float, ls, aux, z):
     return out
 
 
-def _golden_min(f, lo: float, hi: float, xatol: float, shape):
+def minimize_scalar(f, lo: float, hi: float, xatol: float, shape):
     """Minimizer of f on (lo, hi) to within xatol, for a whole array at once.
 
     Golden-section search: every step keeps, node by node, the part of the
     interval around the smaller interior value, at one evaluation of f on
-    the array per step.
+    the array per step.  ``_sweep`` calls it through this module-level
+    name, so wrapping the name counts the saddle searches
+    (``perfbench/tracer.py`` does, for ``cspa.saddle_solves``).
     """
     a = np.full(shape, lo)
     b = np.full(shape, hi)
@@ -427,8 +420,8 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
     margin = _TWO_PI
     for iz, z in enumerate(zs):
         if z_def:
-            z = _golden_min(lambda zq: p_real(ly2, zq), -zlim, zlim,
-                            1e-10 * max(abs(vz), vx), g_quad.shape)
+            z = minimize_scalar(lambda zq: p_real(ly2, zq), -zlim, zlim,
+                                1e-10 * max(abs(vz), vx), g_quad.shape)
         ls = (lx2, ly2, (z - b) ** 2)
         static, phi_w, bad, mrg, aux = _core_fields(*ls, params, beta)
         if bad.any():
@@ -498,8 +491,7 @@ def cspa_log_integrand(r, params: ModelParams, T: float) -> float:
     quantum correction factor.  Past the validity boundary it raises
     BreakdownError regardless of weight.
     """
-    if T <= 0:
-        raise ValueError("static-path weight needs T > 0")
+    check_temperature(T, positive=True)
     beta = 1.0 / T
     lx2, ly2 = r[0] * r[0], r[1] * r[1]
     lz2 = (r[2] - params.b) ** 2
@@ -518,8 +510,7 @@ def cspa_log_partition(params: ModelParams, T: float) -> float:
     Raises BreakdownError below the breakdown temperature T* and
     NumericalError if the quadrature cannot reach its tolerance.
     """
-    if T <= 0:
-        raise ValueError("static-path partition function needs T > 0")
+    check_temperature(T, positive=True)
     quad, spa = _split_axes(params)
     out = _integrate(params, T, quad, spa, want_obs=False)
     return out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
@@ -532,8 +523,7 @@ def cspa_result(params: ModelParams, T: float) -> CspaResult:
     from kernels averaged over the nodes of the ln Z quadrature itself
     (see _kernels); a deformed axis (v_mu < 0) differences ln Z.
     """
-    if T <= 0:
-        raise ValueError("static-path partition function needs T > 0")
+    check_temperature(T, positive=True)
     if params.n < 2:
         raise ValueError("pair correlators need n >= 2")
     quad, spa = _split_axes(params)

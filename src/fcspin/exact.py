@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidStateError
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 from .roots import _sign_changes, brentq
 from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
@@ -407,11 +407,10 @@ class Spectra:
     (params, T) alone, not on the temperatures evaluated before.  The
     moments of a level come from the rows its eigenvector was solved on.
 
-    The flat per-level arrays (``energy``, ``m2x`` ... ``log_mult``,
-    ``two_s``, ``parity``, ``k_index``) run over the sectors in
-    ``sector_spins`` order, each laid out as in ``SectorSpectrum``; they,
-    ``sectors`` and ``ground_energy`` keep their full-spectrum meaning and
-    are built on first use.  Every array handed out is read-only.
+    ``sectors`` is the one full-spectrum view: it solves every sub-block
+    and hands out each sector's rows of the store, in ``sector_spins``
+    order.  ``ground_energy`` solves only the T = 0 window.  Every array
+    handed out is read-only.
     """
 
     def __init__(self, params: ModelParams):
@@ -546,11 +545,6 @@ class Spectra:
     @property
     def _complete(self) -> bool:
         return not self._open
-
-    @property
-    def _solved(self) -> np.ndarray:
-        """Whether each sub-block has any level solved."""
-        return self._ground < np.inf
 
     def _log_weights(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
         """ln Y - E/T per sub-block (rows, energies e) and T of t (columns).
@@ -697,58 +691,19 @@ class Spectra:
         while not self._complete:
             self._advance(np.flatnonzero(self._low < np.inf))
 
-    def _flat(self, row: int) -> np.ndarray:
-        self._solve_all()
-        return self._levels[row]
-
-    @property
-    def energy(self) -> np.ndarray:
-        return self._flat(0)
-
-    @property
-    def m2x(self) -> np.ndarray:
-        return self._flat(1)
-
-    @property
-    def m2y(self) -> np.ndarray:
-        return self._flat(2)
-
-    @property
-    def m2z(self) -> np.ndarray:
-        return self._flat(3)
-
-    @property
-    def m1z(self) -> np.ndarray:
-        return self._flat(4)
-
-    @cached_property
-    def log_mult(self) -> np.ndarray:
-        return _read_only(np.repeat(self._sub_log_mult, self._dims))
-
-    @cached_property
-    def two_s(self) -> np.ndarray:
-        return _read_only(np.repeat(self._sub_two_s, self._dims))
-
-    @cached_property
-    def parity(self) -> np.ndarray:
-        return _read_only(np.repeat(self._sub_parity, self._dims))
-
-    @cached_property
-    def k_index(self) -> np.ndarray:
-        return _read_only(np.arange(self._dims.sum())
-                          - np.repeat(self._offset, self._dims))
-
     @cached_property
     def sectors(self) -> tuple[SectorSpectrum, ...]:
+        # sector i is sub-blocks 2i and 2i + 1, laid end to end in the store
         self._solve_all()
-        out, hi = [], 0
+        out = []
         for i, ts in enumerate(sector_spins(self.params.n)):
-            lo, hi = hi, hi + ts + 1
+            subs, lo = slice(2 * i, 2 * i + 2), int(self._offset[2 * i])
+            dims = self._dims[subs]
             out.append(SectorSpectrum(
-                two_s=ts, multiplicity=self._multiplicity[i],
-                parity=self.parity[lo:hi], k_index=self.k_index[lo:hi],
-                energy=self.energy[lo:hi], m2x=self.m2x[lo:hi],
-                m2y=self.m2y[lo:hi], m2z=self.m2z[lo:hi], m1z=self.m1z[lo:hi]))
+                ts, self._multiplicity[i],
+                _read_only(np.repeat(self._sub_parity[subs], dims)),
+                _read_only(np.concatenate([np.arange(d) for d in dims])),
+                *self._levels[:5, lo:lo + ts + 1]))
         return tuple(out)
 
     @property
@@ -769,8 +724,7 @@ def diagonalize(params: ModelParams) -> Spectra:
 
 
 def _one_temperature(T: float) -> np.ndarray:
-    if not 0 <= T < math.inf:
-        raise ValueError("temperature must be finite and nonnegative")
+    check_temperature(T)
     return np.array([T], dtype=float)
 
 
@@ -1023,11 +977,12 @@ def limit_temperatures(params: ModelParams, *,
     (``_signed_c_on_grid``), on a geometric grid of ``LIMIT_SCAN_POINTS``
     temperatures in [1e-4, t_max] v_x.  Every interval end comes from one
     sign-change scan of that table (``roots._sign_changes``): a node where
-    C_pm is exactly 0 is itself an end, and a bracket is polished to
-    1e-5 v_x by ``brentq`` from its tabulated ends, evaluating only the
-    temperatures inside it.  On 40 seeded draws at n <= 60, ten of them
-    just above the factorizing field, the intervals match a 20 000-point
-    scan (``tests/test_roots.py``).
+    C_pm is exactly 0 is itself an end, and a bracket is polished by
+    ``brentq`` from its tabulated ends, evaluating only the temperatures
+    inside it: to 1e-5 v_x, but the bracket [0, 1e-4 v_x] below the grid,
+    whose root may lie far below 1e-5 v_x, to 1e-5 of that root.  On 40
+    seeded draws at n <= 60, ten of them just above the factorizing field,
+    the intervals match a 20 000-point scan (``tests/test_roots.py``).
     """
     spectra = diagonalize(params)
     vx = params.v_x
@@ -1036,7 +991,6 @@ def limit_temperatures(params: ModelParams, *,
     vals = np.vstack((_signed_c_of_t(spectra, 0.0),
                       _signed_c_on_grid(spectra, t[1:])))
     table = dict(zip(t.tolist(), vals.tolist()))
-    xtol = 1e-5 * vx
 
     out = []
     for comp in (0, 1):
@@ -1045,7 +999,12 @@ def limit_temperatures(params: ModelParams, *,
         # alternating starts and ends of the positive runs
         edges = [0.0] if col[0] > 0 else []
         for c in _sign_changes(t, col):
-            x = c.polish(brentq, _signed_c_between, xtol=xtol, args=args)
+            # the bracket from T = 0 may hold a root far below 1e-5 v_x: to
+            # 1e-5 of that root, over a floor of eps 1e-5 v_x that keeps
+            # brentq within its 100 iterations
+            tol = ({"xtol": 1e-5 * vx} if c.lo > 0.0
+                   else {"xtol": _FLOAT.eps * 1e-5 * vx, "rtol": 1e-5})
+            x = c.polish(brentq, _signed_c_between, args=args, **tol)
             edges += [x] * ((c.before > 0) + (c.after > 0))
         if len(edges) % 2:
             edges.append(float(t[-1]))

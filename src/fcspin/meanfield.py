@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError
 from .exact import Correlators
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 from .roots import _sign_changes, brentq
 
 __all__ = [
@@ -138,8 +138,7 @@ def solve_mean_field(params: ModelParams, T: float) -> MeanFieldSolution:
     b + v_z tanh(lambda/2T), x = 0, omega = lambda sqrt((1 - f_x)(1 - f_y))
     with f_mu = v_mu tanh(lambda/2T)/lambda.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     pc = critical_constants(params)
     b, vx, vy, vz = params.b, params.v_x, params.v_y, params.v_z
     in_sb = (not pc.normal_only and b < pc.b_c
@@ -313,8 +312,7 @@ def log_partition_mfrpa(params: ModelParams, T: float) -> float:
     zeta -> 1) and in the degenerate XXZ case; T = 0 is rejected since ln Z
     itself is infinite there.
     """
-    if T <= 0:
-        raise ValueError("log_partition_mfrpa needs T > 0")
+    check_temperature(T, positive=True)
     sol = solve_mean_field(params, T)
     return _hartree_log(sol, params, T) + _fluctuation_log(sol, params, T)
 

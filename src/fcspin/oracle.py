@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SymmetryViolationError
 from .exact import (ConcurrenceReport, Correlators, PairDensity,
                     _ground_tolerance, concurrence)
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -111,8 +111,7 @@ def full_hamiltonian(params: ModelParams, form: str = "collective") -> np.ndarra
 def thermal_density(params: ModelParams, T: float) -> np.ndarray:
     """rho = exp(-H/T)/Z by full eigendecomposition; T=0 is the equal-weight
     mixture of all states degenerate with the ground state."""
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     h = full_hamiltonian(params)
     w, v = np.linalg.eigh(h)
     if T == 0:
@@ -200,8 +199,7 @@ def oracle_concurrence(params: ModelParams, T: float, i: int = 0,
 
 def oracle_log_partition(params: ModelParams, T: float) -> float:
     _check_n(params.n)
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     w = np.linalg.eigvalsh(full_hamiltonian(params))
     if T == 0:
         mask = w <= w[0] + _ground_tolerance(params)

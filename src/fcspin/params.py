@@ -17,6 +17,15 @@ import math
 from dataclasses import dataclass
 
 
+def check_temperature(T: float, *, positive: bool = False) -> None:
+    """The temperature rule of the library entry points: T must be finite
+    and nonnegative, or finite and positive with ``positive`` (where ln Z or
+    the static-path weight needs 1/T); ValueError otherwise."""
+    if not (0.0 < T if positive else 0.0 <= T) or T == math.inf:
+        raise ValueError("temperature must be finite and "
+                         + ("positive" if positive else "nonnegative"))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated, canonicalized model parameters.

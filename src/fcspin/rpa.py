@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .meanfield import _is_xxz, critical_constants, solve_mean_field
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 from .roots import _sign_changes, brentq
 
 __all__ = [
@@ -132,8 +132,7 @@ def asymptotic_concurrence(params: ModelParams,
     parallel entanglement exists.  At the XXZ point the antiparallel value
     goes through its finite limit and C_+ diverges to -inf.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
     br = _zero_t_branch(params)
@@ -174,8 +173,7 @@ def full_concurrence(params: ModelParams, T: float, *,
     the full square-root form by default; ``expanded`` switches to its
     1/n expansion, valid away from the critical field.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     if params.n < 2:
         raise ValueError("pair concurrence needs n >= 2")
     q = params.scaled(1.0 / params.v_x)
@@ -345,8 +343,7 @@ def separable_window(params: ModelParams, T: float,
     pc = critical_constants(params)
     if pc.normal_only or not 0.0 < pc.chi < 1.0:
         raise ValueError("separable window needs 0 < chi < 1")
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     b_s = pc.b_c * math.sqrt(pc.chi)
     if T == 0.0:
         return b_s, b_s
@@ -424,8 +421,7 @@ def near_critical_cminus(delta: float, epsilon: float, T: float,
         raise ValueError("delta must be nonnegative")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive (fields below b_c)")
-    if T < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    check_temperature(T)
     n = params.n
     pc = critical_constants(params)
     scale = params.v_x - params.v_z

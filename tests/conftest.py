@@ -61,3 +61,20 @@ def parity_halves(p: ModelParams, two_s: int):
     return [(1 - 2 * (((p.n - two_s) // 2 + first) % 2),
              *(a[first::2].copy() for a in blk))
             for first in range(min(two_s, 1) + 1)]
+
+
+def flat_levels(sp) -> dict:
+    """Per-level arrays of a spectrum, over its sectors in order.
+
+    ``energy``, ``m2x`` ... ``m1z``, ``parity`` and ``k_index`` concatenate
+    the fields of ``sp.sectors``; ``two_s`` and ``log_mult`` repeat each
+    sector's 2S and ln Y(S) over its 2S + 1 levels.
+    """
+    secs = sp.sectors
+    out = {k: np.concatenate([getattr(s, k) for s in secs])
+           for k in ("energy", "m2x", "m2y", "m2z", "m1z", "parity",
+                     "k_index")}
+    size = [s.two_s + 1 for s in secs]
+    out["two_s"] = np.repeat([s.two_s for s in secs], size)
+    out["log_mult"] = np.repeat([math.log(s.multiplicity) for s in secs], size)
+    return out

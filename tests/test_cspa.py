@@ -328,6 +328,6 @@ def test_golden_search_meets_its_tolerance():
     # one search for a whole array of minimizers, each to within xatol
     centers = np.linspace(-0.9, 0.7, 13)
     xatol = 1e-10
-    got = fcspin.cspa._golden_min(lambda x: np.abs(x - centers), -1.3, 1.3,
-                                  xatol, centers.shape)
+    got = fcspin.cspa.minimize_scalar(lambda x: np.abs(x - centers), -1.3,
+                                      1.3, xatol, centers.shape)
     assert np.max(np.abs(got - centers)) <= xatol

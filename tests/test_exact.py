@@ -45,8 +45,8 @@ from fcspin.exact import (GROUND_DEGENERACY_RTOL, _correlators,
                           _signed_c_on_grid, _solve_stage)
 from fcspin.roots import _sign_changes
 from fcspin.spin_algebra import off_diagonal_scale, sub_block_elements
-from tests.conftest import (draw_params, draw_temperature, multiplicity,
-                            parity_halves)
+from tests.conftest import (draw_params, draw_temperature, flat_levels,
+                            multiplicity, parity_halves)
 
 ATOL = 1e-9
 
@@ -499,19 +499,20 @@ def test_limit_temperature_strong_field_is_parallel():
 
 def _unpruned(sp, T):
     """ln Z and correlators summed over every level of a solved spectrum."""
-    n = sp.params.n
+    n, lv = sp.params.n, flat_levels(sp)
+    e = lv["energy"]
     if T == 0:
         tol = _ground_tolerance(sp.params)
-        a = np.where(sp.energy <= sp.energy.min() + tol, sp.log_mult, -np.inf)
+        a = np.where(e <= e.min() + tol, lv["log_mult"], -np.inf)
     else:
-        a = sp.log_mult - sp.energy / T
+        a = lv["log_mult"] - e / T
     ln_z = float(logsumexp(a))
     w = np.exp(a - ln_z)
     denom = n * (n - 1)
-    return ln_z, {"alpha_x": (w @ sp.m2x - 0.25 * n) / denom,
-                  "alpha_y": (w @ sp.m2y - 0.25 * n) / denom,
-                  "alpha_z": (w @ sp.m2z - 0.25 * n) / denom,
-                  "sz": w @ sp.m1z / n}
+    return ln_z, {"alpha_x": (w @ lv["m2x"] - 0.25 * n) / denom,
+                  "alpha_y": (w @ lv["m2y"] - 0.25 * n) / denom,
+                  "alpha_z": (w @ lv["m2z"] - 0.25 * n) / denom,
+                  "sz": w @ lv["m1z"] / n}
 
 
 def _window_draws():
@@ -526,7 +527,6 @@ def _window_draws():
                          ids=lambda p: f"n{p.n}-b{p.b:.2f}")
 def test_window_matches_full_spectrum(p):
     full = Spectra(p)
-    full.energy  # solves every sub-block
     for t in (0.0, 0.05, 0.2, 1.0, 5.0):
         T = t * p.v_x
         windowed = Spectra(p)
@@ -551,7 +551,8 @@ def test_window_solves_few_sectors_when_cold():
     p = ModelParams.from_chi(400, 0.8, 0.5)
     sp = Spectra(p)
     thermal_observables(sp, 0.1)
-    assert 0 < sp._solved.sum() < 0.2 * len(sp._solved)
+    solved = sp._count > 0
+    assert 0 < solved.sum() < 0.2 * len(solved)
 
 
 def _block_bound(diag, off) -> float:
@@ -577,7 +578,7 @@ def test_level_bound_is_below_the_lowest_level():
             p = draw_params(rng, n)
             sp = Spectra(p)
             bounds = sp._low.copy()  # before any solve
-            sp.energy  # solves every sub-block
+            sp.sectors  # solves every sub-block
             for j, (diag, off) in enumerate(_sub_blocks(p)):
                 solved = sp._block(j)[0, 0]  # lowest level of block j
                 lowest = (diag[0] if len(diag) == 1 else
@@ -653,9 +654,10 @@ def test_flat_build_matches_the_per_sector_build(p, chunk, monkeypatch):
     want = _per_sector_reference(p)
     sp = Spectra(p)
     assert sp._low.tobytes() == want["_low"].tobytes()  # bounds, pre-solve
+    flat = flat_levels(sp)
     for k, a in want.items():
         if k != "_low":
-            got = getattr(sp, k)
+            got = flat[k]
             assert got.dtype == a.dtype and got.tobytes() == a.tobytes(), k
     lo = 0
     for sec, ts in zip(sp.sectors, sector_spins(p.n)):
@@ -664,7 +666,7 @@ def test_flat_build_matches_the_per_sector_build(p, chunk, monkeypatch):
         for k in ("parity", "k_index", "energy", "m2x", "m2y", "m2z", "m1z"):
             assert getattr(sec, k).tobytes() == want[k][lo:hi].tobytes(), k
         lo = hi
-    assert lo == len(sp.energy)
+    assert lo == len(flat["energy"])
 
 
 @pytest.mark.parametrize("p", [ModelParams(n=11, b=0.7, v_x=1.3, v_y=1.3,
@@ -738,7 +740,7 @@ def test_batched_scan_matches_the_scalar_path(p, top):
     m2x, m2y, m2z, m1z = sp._thermal_moments(grid)
     signed = _signed_c_on_grid(sp, grid)
     if n >= 60 and top < 1.0:
-        assert not sp._solved.all()
+        assert not (sp._count > 0).all()
     for i, T in enumerate(grid):
         want = thermal_observables(scalar, T)
         got = ((m2x[i] - 0.25 * n) / denom, (m2y[i] - 0.25 * n) / denom,
@@ -773,19 +775,39 @@ def test_results_do_not_depend_on_earlier_temperatures():
 def test_cached_arrays_are_read_only():
     p = ModelParams(n=12, b=0.3, v_x=1.0, v_y=0.4, v_z=-0.2)
     sp = diagonalize(p)
-    before = {f: getattr(sp, f).copy() for f in
-              ("energy", "m2x", "m2y", "m2z", "m1z", "log_mult", "two_s",
-               "parity", "k_index")}
-    sec = sp.sectors[0]
-    arrays = [getattr(sp, f) for f in before] + [
-        sec.parity, sec.k_index, sec.energy, sec.m2x, sec.m2y, sec.m2z,
-        sec.m1z]
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 7.0
-    again = diagonalize(p)
+    before = {f: a.copy() for f, a in flat_levels(sp).items()}
+    for sec in sp.sectors:
+        for a in (sec.parity, sec.k_index, sec.energy, sec.m2x, sec.m2y,
+                  sec.m2z, sec.m1z):
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+    again = flat_levels(diagonalize(p))
     for f, v in before.items():
-        assert np.array_equal(getattr(again, f), v), f
+        assert np.array_equal(again[f], v), f
+
+
+@pytest.mark.parametrize("b", [0.5, 0.0])
+def test_sectors_are_the_store_rows_and_sub_block_labels(b):
+    # n = 520: the largest sub-blocks have 261 levels and solve in stages
+    p = ModelParams.from_chi(520, b, 0.5, v_z=-0.2)
+    sp = Spectra(p)
+    secs = sp.sectors
+    assert sp._dims.max() >= fcspin.exact._STAGED_DIM
+    flat = flat_levels(sp)
+    for row, f in enumerate(("energy", "m2x", "m2y", "m2z", "m1z")):
+        assert flat[f].tobytes() == sp._levels[row].tobytes(), f
+    labels = {"two_s": np.repeat(sp._sub_two_s, sp._dims),
+              "parity": np.repeat(sp._sub_parity, sp._dims),
+              "k_index": np.concatenate([np.arange(d) for d in sp._dims])}
+    for f, want in labels.items():
+        assert flat[f].dtype == want.dtype, f
+        assert flat[f].tobytes() == want.tobytes(), f
+    for sec in secs:
+        assert sec.multiplicity == multiplicity(p.n, sec.two_s)
+        for f in ("parity", "k_index", "energy", "m2x", "m2y", "m2z", "m1z"):
+            a = getattr(sec, f)
+            assert len(a) == sec.two_s + 1 and not a.flags.writeable, f
+        assert np.shares_memory(sec.energy, sp._levels)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +873,7 @@ def test_staged_solves_match_the_plain_full_solve(small_stages):
             p = draw_params(rng, n)
             for q in (p, p.with_field(0.0)):
                 sp = Spectra(q)
-                _assert_staged_matches_plain(sp, range(len(sp._solved)))
+                _assert_staged_matches_plain(sp, range(len(sp._dims)))
 
 
 def test_staged_solves_match_the_plain_full_solve_at_full_size():
@@ -868,7 +890,7 @@ def test_staged_window_matches_full_spectrum(p, monkeypatch):
     # against sub-blocks solved whole: the bound on a staged sub-block's
     # next level must keep every level inside the window solved
     full = Spectra(p)
-    full.energy
+    full.sectors  # solves every sub-block, before the stages shrink
     monkeypatch.setattr(fcspin.exact, "_STAGED_DIM", 8)
     monkeypatch.setattr(fcspin.exact, "_PREFIX_LEVELS", 3)
     for t in (0.0, 0.05, 0.2, 1.0, 5.0):
@@ -899,7 +921,7 @@ def test_staged_bound_is_below_the_next_level(small_stages):
 
 def _staged_blocks(sp) -> np.ndarray:
     """Sub-blocks with their prefix solved and the rest not."""
-    return np.flatnonzero(sp._solved & (sp._low < np.inf))
+    return np.flatnonzero((sp._count > 0) & (sp._low < np.inf))
 
 
 def test_staged_results_do_not_depend_on_earlier_temperatures(small_stages):
@@ -1127,7 +1149,7 @@ def test_cold_window_solves_few_levels_at_n2000():
     # the lowest levels of the large sub-blocks carry the weight at low T
     sp = Spectra(ModelParams.from_chi(2000, 0.5, 0.5))
     thermal_observables(sp, 0.14)
-    touched = int(sp._dims[sp._solved].sum())
+    touched = int(sp._dims[sp._count > 0].sum())
     solved = int(sp._count.sum())
     assert 0 < solved < 0.05 * touched
 
@@ -1189,22 +1211,21 @@ def test_parity_doublet_at_zero_temperature_at_n10000(b):
 def test_level_concurrence_solves_only_the_levels_sub_block():
     sp = Spectra(ModelParams.from_chi(1000, 0.5, 0.5))
     rep = level_concurrence(sp, 1000, 0, 1)
-    assert sp._solved.sum() == 1
+    assert (sp._count > 0).sum() == 1
     assert rep == level_concurrence(sp, 1000, 0, 1)
 
 
 def test_level_concurrence_matches_the_solved_spectrum(small_stages):
     # each level has a fixed source, so a lone sub-block gives it bitwise;
-    # found from the sub-block offsets, it is the level that the flat label
-    # arrays name, and those arrays stay unbuilt
+    # found from the sub-block offsets, it is the level that the sector
+    # labels name, and the sectors stay unbuilt
     rng = np.random.default_rng(103)
     for n in (9, 40, 300):
         p = draw_params(rng, n)
-        full = Spectra(p)
-        full.energy  # every stage of every sub-block
-        for i in rng.choice(len(full.energy), 10, replace=False):
-            level = [int(a[i]) for a in (full.two_s, full.k_index, full.parity)]
-            corr = _correlators([float(getattr(full, k)[i]) for k in
+        full = flat_levels(Spectra(p))  # every stage of every sub-block
+        for i in rng.choice(len(full["energy"]), 10, replace=False):
+            level = [int(full[k][i]) for k in ("two_s", "k_index", "parity")]
+            corr = _correlators([float(full[k][i]) for k in
                                  ("m2x", "m2y", "m2z", "m1z")], n)
             sp = Spectra(p)
             assert level_concurrence(sp, *level) == concurrence(
@@ -1213,7 +1234,7 @@ def test_level_concurrence_matches_the_solved_spectrum(small_stages):
             with pytest.raises(ValueError, match="no level"):
                 level_concurrence(sp, *bad)
         spectrum_low(sp, 20)
-        assert not {"two_s", "parity", "k_index"} & vars(sp).keys()
+        assert "sectors" not in vars(sp)
 
 
 def test_spectrum_low_matches_the_solved_spectrum(small_stages):
@@ -1224,12 +1245,12 @@ def test_spectrum_low_matches_the_solved_spectrum(small_stages):
              ModelParams.from_chi(60, 0.0, 0.5)]
     draws += [draw_params(rng, n) for n in (7, 50, 200)]
     for p in draws:
-        full = Spectra(p)
-        e = full.energy
+        full = flat_levels(Spectra(p))
+        e = full["energy"]
         order = np.argsort(e, kind="stable")
         for count in (1, 6, 40, len(e)):
-            want = [(int(full.two_s[i]), int(full.k_index[i]),
-                     int(full.parity[i]), float(e[i] - e[order[0]]))
+            want = [(int(full["two_s"][i]), int(full["k_index"][i]),
+                     int(full["parity"][i]), float(e[i] - e[order[0]]))
                     for i in order[1:count + 1]]
             sp = Spectra(p)
             assert spectrum_low(sp, count) == want, (p, count)
@@ -1377,7 +1398,7 @@ def test_every_solve_goes_through_the_module_level_solver(staged,
     resolved = (dims >= fcspin.exact._STAGED_DIM) & (sp._low == np.inf)
     assert sum(levels) == (solved[dims > 1].sum()
                            + fcspin.exact._PREFIX_LEVELS * resolved.sum())
-    assert staged == (len(stages) > sp._solved.sum())
+    assert staged == (len(stages) > (sp._count > 0).sum())
 
 
 def test_non_finite_block_elements_raise_value_error():

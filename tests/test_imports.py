@@ -156,12 +156,20 @@ finally:
 
 
 def test_cspa_still_resolves_minimize_scalar():
-    # perfbench/tracer.py wraps this name as the static-path solver
+    # the deformed-axis saddle search is the package's own, called through
+    # the module-level name that perfbench/tracer.py wraps, and loads no
+    # scipy.optimize
     code = """
-import fcspin.cspa
-solver = getattr(fcspin.cspa, "minimize_scalar")
-import scipy.optimize
-assert solver is scipy.optimize.minimize_scalar
-assert not hasattr(fcspin.cspa, "maximize_scalar")
+import fcspin, fcspin.cspa
+search, calls = fcspin.cspa.minimize_scalar, []
+assert search.__module__ == "fcspin.cspa"
+def counting(*args):
+    calls.append(1)
+    return search(*args)
+fcspin.cspa.minimize_scalar = counting
+p = fcspin.ModelParams(n=5, b=0.4, v_x=1.0, v_y=0.3, v_z=-0.3)
+fcspin.cspa_log_partition(p, 1.0)
+assert calls
 """
-    assert "scipy.optimize" in _scipy_after(code)
+    assert not [m for m in _scipy_after(code)
+                if m.startswith("scipy.optimize")]

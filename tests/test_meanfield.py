@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import fcspin
 from fcspin import (
     DivergenceError,
     ModelParams,
@@ -169,6 +170,27 @@ def test_params_replace_validates_like_a_new_instance():
         p.replace(v_y=1.5)
     with pytest.raises(TypeError):
         p.replace(chi=0.1)
+
+
+# the library entry points that take a temperature (params.check_temperature);
+# those that need 1/T reject T = 0 as well
+_ANY_T = ("solve_mean_field", "mfrpa_observables", "asymptotic_concurrence",
+          "full_concurrence", "separable_window", "near_critical_cminus",
+          "thermal_density", "oracle_log_partition", "oracle_observables")
+_POSITIVE_T = ("log_partition_mfrpa", "cspa_log_integrand",
+               "cspa_log_partition", "cspa_result")
+
+
+@pytest.mark.parametrize("name, T", [
+    (name, T) for name in _ANY_T + _POSITIVE_T
+    for T in (math.nan, math.inf, -math.inf, -1.0)]
+    + [(name, 0.0) for name in _POSITIVE_T])
+def test_entry_points_take_only_finite_temperatures(name, T):
+    p = ModelParams.from_chi(10, 0.4, 0.5)
+    args = {"near_critical_cminus": (0.5, 1.0, T, p),
+            "cspa_log_integrand": ((0.5, 0.0, 0.0), p, T)}.get(name, (p, T))
+    with pytest.raises(ValueError, match="finite"):
+        getattr(fcspin, name)(*args)
 
 
 def test_log_partition_guards():

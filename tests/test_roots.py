@@ -20,6 +20,7 @@ from fcspin import (
     rpa_energy_determinant,
     separable_window,
     solve_mean_field,
+    thermal_concurrence,
 )
 from fcspin.roots import _sign_changes, brentq
 
@@ -233,6 +234,23 @@ def test_limit_temperatures_start_an_interval_below_the_scan():
     assert lo_a - xtol <= lo <= lo_b + xtol
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
+def test_limit_temperatures_polish_a_sliver_below_1e5(eps):
+    # eps above the finite-n factorizing field, C_+ > 0 on [0, ~3.2 eps]
+    # and C_- > 0 from there on: both ends are polished to 1e-5 of the
+    # crossing, not to 1e-5 v_x, which left them at a bisection point
+    p = ModelParams.from_chi(5, 0.8 * math.sqrt(0.3) + eps, 0.3)
+    lt = limit_temperatures(p)
+    (zero, plus_end), = lt.plus
+    (minus_start, _), = lt.minus
+    assert zero == 0.0
+    for end, comp in ((plus_end, "c_plus"), (minus_start, "c_minus")):
+        assert 3.16 * eps <= end <= 3.24 * eps
+        below, above = (getattr(thermal_concurrence(p, end * f), comp)
+                        for f in (1.0 - 1e-4, 1.0 + 1e-4))
+        assert (below > 0.0) != (above > 0.0), comp
+
+
 def test_limit_temperatures_polish_from_the_scanned_values(monkeypatch):
     # the batched scan and the single-T path may disagree in the last bits:
     # at a node next to a root the single-T sign is the other one, and the
@@ -373,19 +391,22 @@ def test_rpa_energy_determinant_golden(n, b, chi, T, r, want):
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
-def _old_positive_intervals(grid, values, f, xtol):
-    """The per-pair interval assembly the scan replaced, kept as reference."""
+def _old_positive_intervals(grid, values, f, tol, tol_from_zero):
+    """The per-pair interval assembly the scan replaced, kept as reference;
+    ``tol_from_zero`` holds brentq's tolerances on a bracket from T = 0,
+    ``tol`` those on the others."""
     from scipy.optimize import brentq
 
     intervals = []
     open_at = float(grid[0]) if values[0] > 0 else None
     for i in range(len(grid) - 1):
         fa, fb = values[i], values[i + 1]
+        kw = tol_from_zero if grid[i] == 0.0 else tol
         if open_at is None and fb > 0:
-            open_at = float(brentq(f, grid[i], grid[i + 1], xtol=xtol)
+            open_at = float(brentq(f, grid[i], grid[i + 1], **kw)
                             if fa < 0 else grid[i])
         elif open_at is not None and fb <= 0:
-            end = (brentq(f, grid[i], grid[i + 1], xtol=xtol)
+            end = (brentq(f, grid[i], grid[i + 1], **kw)
                    if fa > 0 > fb else grid[i + 1])
             intervals.append((open_at, float(end)))
             open_at = None
@@ -422,6 +443,8 @@ def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
         for k, ivs in enumerate((got.plus, got.minus)):
             f = lambda t, k=k: signed(None, t)[k]
             want = _old_positive_intervals(
-                scan, np.concatenate(([f(0.0)], nodes[:, k])), f, 1e-5)
+                scan, np.concatenate(([f(0.0)], nodes[:, k])), f,
+                {"xtol": 1e-5},
+                {"xtol": np.finfo(float).eps * 1e-5, "rtol": 1e-5})
             assert len(want) > 5
             assert list(ivs) == want

@@ -9,8 +9,8 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from fcspin import ModelParams, Spectra, sector_spins
 from fcspin.spin_algebra import (off_diagonal_scale, sector_multiplicities,
                                  sub_block_elements)
-from tests.conftest import (closed_form_block, draw_params, multiplicity,
-                            parity_halves)
+from tests.conftest import (closed_form_block, draw_params, flat_levels,
+                            multiplicity, parity_halves)
 
 
 def _sub_blocks(p: ModelParams, two_s: int):
@@ -162,7 +162,8 @@ def test_parity_split_strides_and_labels():
     # the even half starts at the lowest M and both advance in steps of 2
     assert np.array_equal(even, np.arange(-3.0, 4.0, 2.0))
     assert np.array_equal(odd, np.arange(-2.0, 3.0, 2.0))
-    assert Spectra(p).parity[:7].tolist() == [1] * 4 + [-1] * 3
+    assert (flat_levels(Spectra(p))["parity"][:7].tolist()
+            == [1] * 4 + [-1] * 3)
 
 
 def test_parity_split_covers_every_m_once():
