@@ -27,7 +27,7 @@ from .meanfield import (critical_constants, log_partition_mfrpa,
                         mfrpa_observables, solve_mean_field)
 from .oracle import (MAX_ORACLE_N, oracle_concurrence, oracle_log_partition,
                      oracle_observables)
-from .params import ModelParams
+from .params import ModelParams, check_temperature
 from .rpa import (asymptotic_concurrence, factorizing_field, full_concurrence,
                   limit_temperature_rpa)
 
@@ -41,40 +41,6 @@ PHASEMAP_COLUMNS = ("T_L_plus", "T_L_minus", "T_c")
 _CONC = frozenset(("C", "nC", "C_plus", "C_minus"))
 _CORR = frozenset(("alpha_x", "alpha_y", "alpha_z", "sz"))
 _LIMITS = frozenset(("T_L_plus", "T_L_minus"))
-
-# config-file keys mirror the long flags; argparse dests differ where the
-# flag name is a Python keyword or a builtin
-_CONFIG_KEYS = {
-    "n": "n", "b": "b", "vx": "vx", "vy": "vy", "vz": "vz", "chi": "chi",
-    "T": "T", "method": "method", "sweep": "sweep", "from": "start",
-    "to": "stop", "points": "points", "geometric": "geometric",
-    "outputs": "outputs", "out": "out", "format": "fmt",
-}
-
-
-def _is_int(v) -> bool:
-    return (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, float) and v.is_integer())
-
-
-def _is_float(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
-# value check per config key; keys not listed take a string
-_CONFIG_TYPES = {
-    "n": _is_int, "points": _is_int,
-    **dict.fromkeys(("b", "vx", "vy", "vz", "chi", "T", "from", "to"),
-                    _is_float),
-    "geometric": lambda v: isinstance(v, bool),
-    "outputs": lambda v: _is_str(v) or (isinstance(v, list)
-                                        and all(map(_is_str, v))),
-}
-
 
 @dataclass
 class ResultRow:
@@ -239,6 +205,11 @@ class SweepSpec:
         if self.axis == "phasemap" and not _METHODS[self.method].phasemap:
             raise ValueError(
                 "phasemap supports methods 'exact' and 'mfrpa_asymptotic'")
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError("grid values must be finite")
+        check_temperature(self.temperature)
+        if self.axis == "temperature":
+            check_temperature(min(self.grid))
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -339,132 +310,141 @@ def emit_json(metadata: dict, axis_name: str, columns, rows) -> str:
 # argument handling
 
 
+class _Option(NamedTuple):
+    kind: object  # int, float, bool (a switch), str or a tuple of choices
+    default: object
+    help: str = ""
+
+
+# every option once: the flag --key and the config key "key" share its kind
+# and default, and a help string's %(default)s is read from here
+_OPTIONS = {
+    "n": _Option(int, None, "number of spins"),
+    "b": _Option(float, 0.0, "field (energy units of --vx)"),
+    "vx": _Option(float, 1.0,
+                  "x coupling, the unit of energy (default %(default)s)"),
+    "vy": _Option(float, None, "y coupling"),
+    "chi": _Option(float, None, "anisotropy (v_y - v_z)/(v_x - v_z); "
+                                "alternative to --vy"),
+    "vz": _Option(float, 0, "z coupling (default %(default)s)"),
+    "T": _Option(float, 0, "temperature (default %(default)s)"),
+    "method": _Option(METHODS, "exact"),
+    "sweep": _Option(SWEEPS, None, "omit for a single-point evaluation"),
+    "from": _Option(float, None, "sweep start"),
+    "to": _Option(float, None, "sweep end"),
+    "points": _Option(int, 50, "sweep length (default %(default)s)"),
+    "geometric": _Option(bool, False, "geometric instead of linear spacing"),
+    "outputs": _Option(str, DEFAULT_OUTPUTS, "comma-separated subset of: "
+                       + ",".join(KNOWN_OUTPUTS)),
+    "out": _Option(str, None, "output file (default stdout)"),
+    "format": _Option(FORMATS, "csv"),
+}
+_ANISOTROPY = ("vy", "chi")  # mutually exclusive on the command line
+
+
 def _parser() -> argparse.ArgumentParser:
+    # a flag left off the command line is left off the namespace too
     p = argparse.ArgumentParser(
-        prog="fcspin",
+        prog="fcspin", argument_default=argparse.SUPPRESS,
         description="Thermal pair entanglement of uniformly coupled spins: "
                     "exact sweeps, mean-field + RPA estimates, and the "
                     "static-path approximation.")
     p.add_argument("--config", help="JSON file with the same keys as the "
                                     "long flags; explicit flags win")
-    p.add_argument("--n", type=int, help="number of spins")
-    p.add_argument("--b", type=float, help="field (energy units of --vx)")
-    p.add_argument("--vx", type=float, help="x coupling, the unit of energy "
-                                            "(default 1.0)")
     aniso = p.add_mutually_exclusive_group()
-    aniso.add_argument("--vy", type=float, help="y coupling")
-    aniso.add_argument("--chi", type=float,
-                       help="anisotropy (v_y - v_z)/(v_x - v_z); "
-                            "alternative to --vy")
-    p.add_argument("--vz", type=float, help="z coupling (default 0)")
-    p.add_argument("--T", type=float, help="temperature (default 0)")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--sweep", choices=SWEEPS,
-                   help="omit for a single-point evaluation")
-    p.add_argument("--from", dest="start", type=float, help="sweep start")
-    p.add_argument("--to", dest="stop", type=float, help="sweep end")
-    p.add_argument("--points", type=int, help="sweep length (default 50)")
-    p.add_argument("--geometric", action="store_true", default=None,
-                   help="geometric instead of linear spacing")
-    p.add_argument("--outputs", help="comma-separated subset of: "
-                                     + ",".join(KNOWN_OUTPUTS))
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS)
+    for key, (kind, default, text) in _OPTIONS.items():
+        group = aniso if key in _ANISOTROPY else p
+        text %= {"default": default}
+        if kind is bool:
+            group.add_argument(f"--{key}", action="store_true", help=text)
+        elif isinstance(kind, tuple):
+            group.add_argument(f"--{key}", choices=kind, help=text)
+        else:
+            group.add_argument(f"--{key}", type=kind, help=text)
     return p
 
 
+def _check_config(key: str, v, parser: argparse.ArgumentParser) -> None:
+    """Exit 2 unless config value ``v`` fits the kind of option ``key``."""
+    kind = _OPTIONS[key].kind
+    if kind is bool or isinstance(v, bool):
+        fits = kind is bool and isinstance(v, bool)
+    elif kind is int:
+        fits = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    elif kind is float:
+        fits = isinstance(v, (int, float))
+    elif key == "outputs" and isinstance(v, list):
+        fits = all(isinstance(s, str) for s in v)
+    else:
+        fits = isinstance(v, str)
+    if not fits:
+        parser.error(f"config {key!r} has the wrong type: {v!r}")
+    if isinstance(kind, tuple) and v not in kind:
+        parser.error(f"unknown {key} {v!r}")
+
+
 def _build_job(args, parser: argparse.ArgumentParser):
-    """((spec, format, grid metadata), output path) from flags and config.
+    """((spec, format, grid metadata), output path) from the defaults, then
+    the config file, then the flags.
 
     Every rejected argument exits 2 through ``parser.error``.
     """
-    cfg = {}
-    if args.config is not None:
+    flags, cfg = vars(args), {}
+    if "config" in flags:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(flags.pop("config"), encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config: {exc}")
         if not isinstance(cfg, dict):
             parser.error("config must be a JSON object")
-        unknown = set(cfg) - set(_CONFIG_KEYS)
+        unknown = set(cfg) - set(_OPTIONS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         for key, v in cfg.items():
-            if not _CONFIG_TYPES.get(key, _is_str)(v):
-                parser.error(f"config {key!r} has the wrong type: {v!r}")
-
-    def pick(flag: str, default=None):
-        v = getattr(args, _CONFIG_KEYS[flag])
-        if v is not None:
-            return v
-        return cfg.get(flag, default)
-
-    n = pick("n")
-    if n is None:
+            _check_config(key, v, parser)
+    # a --vy or --chi flag overrides both config spellings
+    if any(key in flags for key in _ANISOTROPY):
+        cfg = {k: v for k, v in cfg.items() if k not in _ANISOTROPY}
+    elif all(key in cfg for key in _ANISOTROPY):
+        parser.error("config sets both vy and chi")
+    opt = {key: o.default for key, o in _OPTIONS.items()} | cfg | flags
+    if opt["n"] is None:
         parser.error("--n is required (flag or config)")
-    vx = pick("vx", 1.0)
-    vz = pick("vz", 0.0)
-    b = pick("b", 0.0)
-    # anisotropy: --vy/--chi are mutually exclusive on the command line;
-    # a flag overrides both config spellings
-    vy, chi = args.vy, args.chi
-    if vy is None and chi is None:
-        vy, chi = cfg.get("vy"), cfg.get("chi")
-        if vy is not None and chi is not None:
-            parser.error("config sets both vy and chi")
-    if vy is None and chi is None:
+    if opt["vy"] is None and opt["chi"] is None:
         parser.error("one of --vy/--chi is required (flag or config)")
-    temperature = float(pick("T", 0.0))
-    if not 0 <= temperature < math.inf:
-        parser.error("--T must be finite and nonnegative")
-    fmt = pick("format", "csv")
-    if fmt not in FORMATS:
-        parser.error(f"unknown format {fmt!r}")
-    raw = pick("outputs")
-    if raw is None:
-        outputs = DEFAULT_OUTPUTS
-    elif isinstance(raw, str):
-        outputs = tuple(s.strip() for s in raw.split(",") if s.strip())
-    else:
-        outputs = tuple(raw)
+    outputs = opt["outputs"]
+    if isinstance(outputs, str):
+        outputs = [s.strip() for s in outputs.split(",") if s.strip()]
 
-    sweep = pick("sweep")
-    if sweep is not None and sweep not in SWEEPS:
-        parser.error(f"unknown sweep {sweep!r}")
-    grid_meta = None
     try:
-        if chi is not None:
-            params = ModelParams.from_chi(n=int(n), b=float(b),
-                                          chi=float(chi), v_x=float(vx),
-                                          v_z=float(vz))
-        else:
-            params = ModelParams(n=int(n), b=float(b), v_x=float(vx),
-                                 v_y=float(vy), v_z=float(vz))
+        kw = dict(n=int(opt["n"]), b=float(opt["b"]), v_x=float(opt["vx"]),
+                  v_z=float(opt["vz"]))
+        params = (ModelParams(v_y=float(opt["vy"]), **kw) if opt["chi"] is None
+                  else ModelParams.from_chi(chi=float(opt["chi"]), **kw))
+        sweep = opt["sweep"]
         if sweep is None:
-            sweep, grid = "point", (params.b,)
+            sweep, grid, grid_meta = "point", (params.b,), None
         else:
-            start, stop = pick("from"), pick("to")
+            start, stop = opt["from"], opt["to"]
             if start is None or stop is None:
                 parser.error("--from and --to are required for a sweep")
-            if not (math.isfinite(start) and math.isfinite(stop)):
-                parser.error("--from and --to must be finite")
-            points = int(pick("points", 50))
-            geometric = bool(pick("geometric", False))
+            points, geometric = int(opt["points"]), opt["geometric"]
             if geometric and (start <= 0 or stop <= 0):
                 parser.error("geometric spacing needs positive --from/--to")
-            grid = tuple(float(g) for g in (
-                np.geomspace if geometric else np.linspace)(
-                    float(start), float(stop), points))
+            # a non-finite end is SweepSpec's to reject, without warnings
+            with np.errstate(invalid="ignore"):
+                grid = tuple((np.geomspace if geometric else np.linspace)(
+                    start, stop, points).tolist())
             grid_meta = {"from": float(start), "to": float(stop),
                          "points": points,
                          "spacing": "geometric" if geometric else "linear"}
-        spec = SweepSpec(method=pick("method", "exact"), params=params,
-                         temperature=temperature, axis=sweep, grid=grid,
-                         outputs=outputs)
+        spec = SweepSpec(method=opt["method"], params=params,
+                         temperature=float(opt["T"]), axis=sweep, grid=grid,
+                         outputs=tuple(outputs))
     except ValueError as exc:
         parser.error(str(exc))
-    return (spec, fmt, grid_meta), pick("out")
+    return (spec, opt["format"], grid_meta), opt["out"]
 
 
 def _metadata(spec: SweepSpec, grid_meta: dict | None) -> dict:

@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import BreakdownError, NumericalError
 from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
 from .meanfield import _fd_stencil
-from .params import ModelParams, check_temperature
+from .params import ModelParams, check_pairs, check_temperature
 
 __all__ = [
     "CspaResult",
@@ -524,8 +524,7 @@ def cspa_result(params: ModelParams, T: float) -> CspaResult:
     (see _kernels); a deformed axis (v_mu < 0) differences ln Z.
     """
     check_temperature(T, positive=True)
-    if params.n < 2:
-        raise ValueError("pair correlators need n >= 2")
+    check_pairs(params.n)
     quad, spa = _split_axes(params)
     out = _integrate(params, T, quad, spa, want_obs=True)
     ln_z = out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)

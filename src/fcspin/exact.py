@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidStateError
-from .params import ModelParams, check_temperature
+from .params import ModelParams, check_pairs, check_temperature
 from .roots import _sign_changes, brentq
 from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
@@ -763,8 +763,7 @@ def _correlators(moments, n: int) -> Correlators:
 def thermal_observables(spectra: Spectra, T: float) -> Correlators:
     """Thermal alpha_mu and sz from multiplicity-weighted eigenstate moments."""
     n = spectra.params.n
-    if n < 2:
-        raise ValueError("pair correlators need n >= 2")
+    check_pairs(n)
     moments = spectra._chunk_moments(_one_temperature(T))
     return _correlators(moments[:, 0].tolist(), n)
 
@@ -906,6 +905,7 @@ def level_concurrence(spectra: Spectra, two_s: int, k: int,
     reduction applies with that eigenstate's moments.
     """
     n = spectra.params.n
+    check_pairs(n)
     hit = np.flatnonzero((spectra._sub_two_s == two_s)
                          & (spectra._sub_parity == parity))
     if len(hit) != 1 or k not in range(spectra._dims[hit[0]]):

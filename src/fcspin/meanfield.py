@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError
 from .exact import Correlators
-from .params import ModelParams, check_temperature
+from .params import ModelParams, check_pairs, check_temperature
 from .roots import _sign_changes, brentq
 
 __all__ = [
@@ -422,8 +422,7 @@ def mfrpa_observables(params: ModelParams, T: float,
     sz = m_z/2 - delta_b/(2n); with ``include_rpa`` False the delta terms are
     dropped (bare Hartree truncation).
     """
-    if params.n < 2:
-        raise ValueError("pair correlators need n >= 2")
+    check_pairs(params.n)
     sol = solve_mean_field(params, T)
     if include_rpa:
         if sol.phase == "symmetry_breaking" and _is_xxz(params):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SymmetryViolationError
 from .exact import (ConcurrenceReport, Correlators, PairDensity,
                     _ground_tolerance, concurrence)
-from .params import ModelParams, check_temperature
+from .params import ModelParams, check_pairs, check_temperature
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -188,6 +188,7 @@ def oracle_concurrence(params: ModelParams, T: float, i: int = 0,
     The two must agree (they coincide exactly for X states); a gap above
     1e-8 is treated as a bug, not a tolerance issue.
     """
+    check_pairs(params.n)
     pd = reduced_pair(thermal_density(params, T), i, j)
     report = concurrence(pd)
     general = wootters_concurrence(pd.matrix())
@@ -212,6 +213,7 @@ def oracle_observables(params: ModelParams, T: float) -> Correlators:
     """alpha_mu and sz from global collective moments of the dense thermal state."""
     n = params.n
     _check_n(n)
+    check_pairs(n)
     rho = thermal_density(params, T)
     sz, sx2, ky2, sz2 = _collective_ops(n)
     denom = n * (n - 1)

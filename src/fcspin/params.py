@@ -26,6 +26,13 @@ def check_temperature(T: float, *, positive: bool = False) -> None:
                          + ("positive" if positive else "nonnegative"))
 
 
+def check_pairs(n: int) -> None:
+    """The pair rule of the pair-correlator and concurrence entry points:
+    ValueError unless there are n >= 2 spins."""
+    if n < 2:
+        raise ValueError("pair correlators need n >= 2")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated, canonicalized model parameters.

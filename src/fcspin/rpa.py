@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .meanfield import _is_xxz, critical_constants, solve_mean_field
-from .params import ModelParams, check_temperature
+from .params import ModelParams, check_pairs, check_temperature
 from .roots import _sign_changes, brentq
 
 __all__ = [
@@ -133,8 +133,7 @@ def asymptotic_concurrence(params: ModelParams,
     goes through its finite limit and C_+ diverges to -inf.
     """
     check_temperature(T)
-    if params.n < 2:
-        raise ValueError("pair concurrence needs n >= 2")
+    check_pairs(params.n)
     br = _zero_t_branch(params)
     tail = 2.0 * math.exp(-br.lam / T) if T > 0 else 0.0
     inv = 1.0 / (params.n - 1)
@@ -174,8 +173,7 @@ def full_concurrence(params: ModelParams, T: float, *,
     1/n expansion, valid away from the critical field.
     """
     check_temperature(T)
-    if params.n < 2:
-        raise ValueError("pair concurrence needs n >= 2")
+    check_pairs(params.n)
     q = params.scaled(1.0 / params.v_x)
     t = T / params.v_x
     sol = solve_mean_field(q, t)
@@ -301,8 +299,7 @@ def limit_temperature_rpa(
     already nonpositive carries no entanglement of that type at any
     temperature -> None.
     """
-    if params.n < 2:
-        raise ValueError("pair concurrence needs n >= 2")
+    check_pairs(params.n)
     br = _zero_t_branch(params)
     t_plus = _limit_t(br, params.n, _fac_plus)
     t_minus = _limit_t(br, params.n, _fac_minus) if br.in_sb else None

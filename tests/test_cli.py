@@ -89,6 +89,57 @@ def test_nonfinite_config_value_exits_2(tmp_path, capsys, bad):
     assert "must be finite" in capsys.readouterr().err
 
 
+def _argv(job: dict) -> list:
+    """The flags that spell the config-file ``job``."""
+    argv = []
+    for key, v in job.items():
+        argv += [f"--{key}"] if v is True else [
+            f"--{key}", ",".join(v) if isinstance(v, list) else str(v)]
+    return argv
+
+
+_NEGATIVE_T_SWEEP = {"n": 6, "chi": 0.5, "b": 0.3, "method": "exact",
+                     "sweep": "temperature", "from": -0.2, "to": 0.2,
+                     "points": 3}
+
+
+@pytest.mark.parametrize("by", ["flags", "config"])
+def test_temperature_sweep_below_zero_exits_2(tmp_path, capsys, by):
+    # sweep temperatures follow the rule of --T
+    argv = _argv(_NEGATIVE_T_SWEEP)
+    if by == "config":
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(_NEGATIVE_T_SWEEP))
+        argv = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_temperature_sweep_from_zero_flags_only_its_cold_row(capsys):
+    # T = 0 is a valid temperature; ln Z needs 1/T, so only that cell fails
+    assert main(["--n", "8", "--chi", "0.5", "--b", "0.3", "--method",
+                 "mfrpa_full", "--sweep", "temperature", "--from", "0",
+                 "--to", "0.2", "--points", "3", "--outputs", "lnZ"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0] == "0.0,,phase=sb;error:ValueError"
+    for row in rows[1:]:
+        assert math.isfinite(float(row.split(",")[1]))
+
+
+def test_single_spin_has_no_pair(capsys):
+    # a point exits 3; a sweep flags each row and exits 0
+    argv = ["--n", "1", "--chi", "0.5", "--T", "0.1", "--method", "oracle",
+            "--outputs", "alpha_x"]
+    assert main(argv) == 3
+    assert "pair correlators need n >= 2" in capsys.readouterr().err
+    assert main(argv + ["--sweep", "field", "--from", "0", "--to", "1",
+                        "--points", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == ["0.0,,error:ValueError", "1.0,,error:ValueError"]
+
+
 def test_numerical_failure_exits_3():
     # far below the static-path validity boundary
     code, _, err = run_cli("--n", "100", "--chi", "0.5", "--b", "0.5",
@@ -431,6 +482,51 @@ def test_config_file_mirrors_flags(tmp_path):
     assert from_cfg == from_flags
 
 
+_JOB = {"n": 6, "chi": 0.5, "b": 0.3, "T": 0.1}
+_FIELD = {"sweep": "field", "from": 0.1, "to": 0.9, "points": 3}
+# a job that sets each option; integer floats stay integers in the config
+_SETTINGS = {
+    "n": {"n": 7},
+    "b": {"b": 0.7},
+    "vx": {"vx": 2},
+    "vy": {"vy": -0.3},
+    "chi": {"chi": 0.25},
+    "vz": {"vz": -0.2},
+    "T": {"T": 0.3},
+    "method": {"method": "oracle"},
+    "sweep": {**_FIELD, "sweep": "phasemap"},
+    "from": {**_FIELD, "sweep": "temperature", "from": 0},
+    "to": {**_FIELD, "to": 2},
+    "points": {**_FIELD, "points": 4},
+    "geometric": {**_FIELD, "geometric": True},
+    "outputs": {"outputs": ["C", "sz", "lnZ"]},
+    "out": {"out": "job.csv"},
+    "format": {**_FIELD, "format": "json"},
+}
+
+
+@pytest.mark.parametrize("key", fcspin.cli._OPTIONS)
+def test_every_config_key_matches_its_flag(tmp_path, monkeypatch, capsys,
+                                           key):
+    job = {**_JOB, **_SETTINGS[key]}
+    if key == "vy":
+        del job["chi"]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    monkeypatch.chdir(tmp_path)
+
+    def output(argv):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        if key == "out":
+            text = Path("job.csv").read_text()
+            Path("job.csv").unlink()
+        return text
+
+    from_cfg = output(["--config", str(cfg)])
+    assert from_cfg and from_cfg == output(_argv(job))
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"n": 10, "chi": 0.5, "b": 0.4, "T": 0.1}))
@@ -516,6 +612,10 @@ def test_run_sweep_oracle_guard():
     ({"grid": (0.5,)}, "at least 2 points"),
     ({"axis": "point"}, "exactly 1 grid value"),
     ({"axis": "phasemap", "method": "cspa"}, "phasemap supports"),
+    ({"grid": (0.0, math.inf)}, "grid values must be finite"),
+    ({"temperature": -0.1}, "finite and nonnegative"),
+    ({"axis": "temperature", "grid": (-0.2, 0.0, 0.2)},
+     "finite and nonnegative"),
 ])
 def test_sweep_spec_rejects(changes, match):
     kw = dict(method="exact", params=ModelParams.from_chi(8, 0.1, 0.5),

@@ -193,6 +193,29 @@ def test_entry_points_take_only_finite_temperatures(name, T):
         getattr(fcspin, name)(*args)
 
 
+# the pair correlator and concurrence entry points (params.check_pairs); a
+# single spin has no pair
+_PAIR_ENTRY_POINTS = {
+    "thermal_observables": lambda p, T: fcspin.thermal_observables(
+        diagonalize(p), T),
+    "level_concurrence+": lambda p, T: fcspin.level_concurrence(
+        diagonalize(p), 1, 0, 1),
+    "level_concurrence-": lambda p, T: fcspin.level_concurrence(
+        diagonalize(p), 1, 0, -1),
+    **{name: getattr(fcspin, name) for name in (
+        "oracle_observables", "oracle_concurrence", "mfrpa_observables",
+        "cspa_result", "asymptotic_concurrence", "full_concurrence")},
+    "limit_temperature_rpa": lambda p, T: fcspin.limit_temperature_rpa(p),
+}
+
+
+@pytest.mark.parametrize("name", _PAIR_ENTRY_POINTS)
+def test_pair_entry_points_need_two_spins(name):
+    p = ModelParams.from_chi(1, 0.3, 0.5)
+    with pytest.raises(ValueError, match="pair correlators need n >= 2"):
+        _PAIR_ENTRY_POINTS[name](p, 0.1)
+
+
 def test_log_partition_guards():
     p = ModelParams.from_chi(100, 0.0, 0.5)
     with pytest.raises(ValueError):
