@@ -237,8 +237,8 @@ def test_spin_average_is_the_field_derivative():
     assert math.isclose(got, -T * der / P100.n, rel_tol=1e-5)
 
 
-def test_result_at_zero_vz_makes_no_extra_quadrature(monkeypatch):
-    # every correlator at v_z = 0 comes from the one base quadrature
+def one_quadrature_result(monkeypatch, p: ModelParams, T: float):
+    """cspa_result(p, T), failing unless it runs exactly one quadrature."""
     calls = []
     integrate = fcspin.cspa._integrate
 
@@ -251,8 +251,14 @@ def test_result_at_zero_vz_makes_no_extra_quadrature(monkeypatch):
 
     monkeypatch.setattr(fcspin.cspa, "_integrate", counted)
     monkeypatch.setattr(fcspin.cspa, "cspa_log_partition", refuse)
-    res = cspa_result(P100, 0.3)
+    res = cspa_result(p, T)
     assert len(calls) == 1
+    return res
+
+
+def test_result_at_zero_vz_makes_no_extra_quadrature(monkeypatch):
+    # every correlator at v_z = 0 comes from the one base quadrature
+    res = one_quadrature_result(monkeypatch, P100, 0.3)
     assert math.isfinite(res.corr.alpha_z) and math.isfinite(res.corr.sz)
 
 
@@ -298,6 +304,42 @@ def test_deformed_alpha_inside_the_domain(n, b, v_y, T):
                 for s in (h, -h))
     want = T * (up - down) / (2.0 * h) / (n - 1)
     assert math.isclose(cspa_result(p, T).corr.alpha_y, want, rel_tol=5e-5)
+
+
+# a deformed y (v_z = 0), a deformed z, and both deformed
+DEFORMED = [
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.0), 0.5),
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=0.2, v_z=-0.8), 0.5),
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=-0.4, v_z=-0.3), 1.0),
+]
+DEFORMED_IDS = ["y", "z", "yz"]
+
+
+@pytest.mark.parametrize("p, T", DEFORMED, ids=DEFORMED_IDS)
+def test_result_on_a_deformed_axis_makes_no_extra_quadrature(monkeypatch, p,
+                                                              T):
+    # a deformed axis differences the node weights of the one quadrature
+    res = one_quadrature_result(monkeypatch, p, T)
+    assert all(math.isfinite(getattr(res.corr, k))
+               for k in ("alpha_x", "alpha_y", "alpha_z", "sz"))
+
+
+@pytest.mark.parametrize("p, T", DEFORMED[1:], ids=DEFORMED_IDS[1:])
+def test_deformed_z_alpha_inside_the_domain(p, T):
+    # alpha on every deformed axis against a central difference of ln Z, as
+    # in test_deformed_alpha_inside_the_domain: step 3e-3 of
+    # min(v_x, |v_mu|/2), rel 5e-5
+    res = cspa_result(p, T)
+    for axis in ("v_y", "v_z"):
+        v = getattr(p, axis)
+        if v >= 0.0:
+            continue
+        h = 3e-3 * min(p.v_x, 0.5 * abs(v))
+        up, down = (cspa_log_partition(p.replace(**{axis: v + s}), T)
+                    for s in (h, -h))
+        want = T * (up - down) / (2.0 * h) / (p.n - 1)
+        got = getattr(res.corr, "alpha_" + axis[-1])
+        assert math.isclose(got, want, rel_tol=5e-5), axis
 
 
 # ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
