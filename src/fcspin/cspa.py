@@ -315,11 +315,12 @@ def _kernels(params: ModelParams, T: float, ls, aux, z):
     of variance 2 v_mu/(beta n) over its field r, which gives
     d(ln Z)/dv_mu = -beta/4 + <dg/dv_mu + (g_rr + g_r^2)/(beta n)> at r = 0.
     Without a z field, sz = -T/n <dg/db>: the nodes do not depend on b, and g
-    depends on it only through (z - b)^2.  Nodes with a deformed axis are
-    evaluated at its saddle point, and these kernels leave out how the
-    -ln(P'')/2 terms of _sweep move with v_mu: there alpha_mu is not exactly
-    T d(ln Z)/dv_mu / (n - 1) (alpha_x 0.5-3% off it on five inputs), but
-    closer to the exact correlators than that derivative is.
+    depends on it only through (z - b)^2; _sweep adds how its -ln(P'')/2
+    terms move with b.  Nodes with a deformed axis are evaluated at its
+    saddle point, and these kernels leave out how those terms move with
+    v_mu: there alpha_mu is not exactly T d(ln Z)/dv_mu / (n - 1) (alpha_x
+    0.5-3% off it on five inputs), but closer to the exact correlators
+    than that derivative is.
     """
     beta = 1.0 / T
     n = params.n
@@ -404,9 +405,10 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
     lnw_xy = np.log(wx)[:, None] + np.log(wy)[None, :]
     y_def, z_def = 1 in spa, 2 in spa
 
-    def node(v, z, lnw):
+    def node(v, z, lnw, want_sz=False):
         # log-weights of slab z at couplings v, which may leave the
-        # ModelParams domain, with the saddle z and the kernels' node data
+        # ModelParams domain, with the saddle z and the kernels' node data;
+        # want_sz adds the sz kernel's terms from the -ln(P'')/2 stencils
         def p_real(ly2q, zq):
             # log-weight along the real axis of the deformed variables, +inf
             # past the pole; its minimum is the contour crossing
@@ -441,20 +443,41 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
             gw = gw - 0.5 * np.log(hyy)
         if z_def:
             hz = 1e-3 * math.sqrt(2.0 * abs(v[2]) / (beta * n))
-            hzz = (p_real(ly2, z + hz) - 2.0 * p0
-                   + p_real(ly2, z - hz)) / (hz * hz)
+            pz = [p_real(ly2, z + s) for s in (hz, -hz)]
+            hzz = (pz[0] - 2.0 * p0 + pz[1]) / (hz * hz)
             if not np.all(hzz > 0.0):
                 raise NumericalError(
                     "nonpositive curvature on the deformed z axis")
             gw = gw - 0.5 * np.log(hzz)
-        return gw, z, ls, aux, mrg
+        dsz = 0.0
+        if want_sz and z_def:
+            # with u = z - b, b moves the stencils only through the
+            # stationary u, by (2c/v_z)/P_zz per unit b: this is -T/n
+            # d/db of -ln(P_zz P_yy)/2, from P_zzz and dP_yy/dz
+            rate = (p_real(ly2, z + 2.0 * hz) - 2.0 * pz[0] + 2.0 * pz[1]
+                    - p_real(ly2, z - 2.0 * hz)) / (2.0 * hz ** 3 * hzz)
+            if y_def:
+                pyy = [(p_real(hy * hy, z + s) - p) / (hy * hy)
+                       for s, p in zip((hz, -hz), pz)]
+                rate = rate + (pyy[0] - pyy[1]) / (hz * hyy)
+            dsz = rate / (4.0 * v[2] * hzz)
+        elif want_sz and y_def and v[2] == 0.0:
+            # no z field: P_yy depends on b through (z - b)^2 = b^2
+            slope = []
+            for pt in ((lx2, hy * hy, ls[2]), ls):
+                a = _core_fields(*pt, v, n, beta)[4]
+                hw = _lnsinhc_derivs(0.25 * beta * beta * a[1])
+                slope.append(_field_slopes(2, pt, a, hw, params, beta)[0])
+            dsz = 2.0 * T * b * (slope[0] - slope[1]) / (n * hy * hy * hyy)
+        return gw, z, ls, aux, mrg, dsz
 
     slabs = []
     kernel_names = []
     margin = _TWO_PI
     for iz, z in enumerate(zs):
         lnw = lnw_xy + math.log(wz[iz])
-        gw, z_node, ls, aux, mrg = node(params.couplings, z, lnw)
+        gw, z_node, ls, aux, mrg, dsz = node(params.couplings, z, lnw,
+                                             want_obs)
         margin = min(margin, mrg)
         smax = float(np.max(gw))
         if smax == -math.inf:
@@ -470,6 +493,8 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
                 g = [node(v[:d] + [v[d] + s] + v[d + 1:], z, lnw)[0]
                      for s in (h, -h)]
                 kern[d] = T * (g[0] - g[1]) / h - T / v[d]
+            if spa:
+                kern["sz"] = kern["sz"] + dsz
             kernel_names = list(kern)
             for name, arr in kern.items():
                 k_s[name] = float(np.sum(e * np.where(e > 0.0, arr, 0.0)))

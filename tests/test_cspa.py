@@ -342,6 +342,17 @@ def test_deformed_z_alpha_inside_the_domain(p, T):
         assert math.isclose(got, want, rel_tol=5e-5), axis
 
 
+@pytest.mark.parametrize("p, T", DEFORMED, ids=DEFORMED_IDS)
+def test_spin_average_is_the_field_derivative_on_a_deformed_axis(p, T):
+    # sz = -T dlnZ/db / n also where the -ln(P'')/2 stencils move with b;
+    # step and tolerance as in test_deformed_alpha_inside_the_domain, with
+    # b in place of |v_mu|: 3e-3 of min(v_x, b/2), rel 5e-5
+    h = 3e-3 * min(p.v_x, 0.5 * p.b)
+    up, down = (cspa_log_partition(p.with_field(p.b + s), T) for s in (h, -h))
+    want = -T * (up - down) / (2.0 * h) / p.n
+    assert math.isclose(cspa_result(p, T).corr.sz, want, rel_tol=5e-5)
+
+
 # ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
 # every node) that the vectorized sweep replaced
 SCALAR_SWEEP_LN_Z = [
