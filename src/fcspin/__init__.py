@@ -9,12 +9,12 @@ from .params import ModelParams
 from .errors import (BreakdownError, DivergenceError, InvalidStateError,
                      NumericalError, SymmetryViolationError)
 from .spin_algebra import sector_spins
-from .exact import (ConcurrenceReport, Correlators, LimitTemperatures,
-                    PairDensity, SectorSpectrum, Spectra, concurrence,
-                    diagonalize, formation_entanglement, level_concurrence,
-                    limit_temperatures, log_partition, pair_density,
-                    parity_transitions, spectrum_low, thermal_concurrence,
-                    thermal_observables)
+from .exact import (MAX_EXACT_N, ConcurrenceReport, Correlators,
+                    LimitTemperatures, PairDensity, SectorSpectrum, Spectra,
+                    concurrence, diagonalize, formation_entanglement,
+                    level_concurrence, limit_temperatures, log_partition,
+                    pair_density, parity_transitions, spectrum_low,
+                    thermal_concurrence, thermal_observables)
 from .oracle import (MAX_ORACLE_N, full_hamiltonian, oracle_concurrence,
                      oracle_log_partition, oracle_observables, reduced_pair,
                      thermal_density, wootters_concurrence)
@@ -36,8 +36,8 @@ __all__ = [
     "BreakdownError", "DivergenceError", "InvalidStateError",
     "NumericalError", "SymmetryViolationError",
     "sector_spins",
-    "ConcurrenceReport", "Correlators", "LimitTemperatures", "PairDensity",
-    "SectorSpectrum", "Spectra", "concurrence", "diagonalize",
+    "MAX_EXACT_N", "ConcurrenceReport", "Correlators", "LimitTemperatures",
+    "PairDensity", "SectorSpectrum", "Spectra", "concurrence", "diagonalize",
     "formation_entanglement", "level_concurrence", "limit_temperatures",
     "log_partition", "pair_density", "parity_transitions", "spectrum_low",
     "thermal_concurrence", "thermal_observables",

@@ -21,8 +21,9 @@ import numpy as np
 from . import __version__
 from .cspa import cspa_result
 from .errors import BreakdownError, NumericalError
-from .exact import (concurrence, diagonalize, limit_temperatures,
-                    log_partition, pair_density, thermal_observables)
+from .exact import (MAX_EXACT_N, concurrence, diagonalize,
+                    limit_temperatures, log_partition, pair_density,
+                    thermal_observables)
 from .meanfield import (critical_constants, log_partition_mfrpa,
                         mfrpa_observables, solve_mean_field)
 from .oracle import (MAX_ORACLE_N, oracle_concurrence, oracle_log_partition,
@@ -192,6 +193,10 @@ class SweepSpec:
         if self.method == "oracle" and self.params.n > MAX_ORACLE_N:
             raise ValueError(
                 f"oracle method is dense: n <= {MAX_ORACLE_N} required")
+        if self.method == "exact" and self.params.n > MAX_EXACT_N:
+            raise ValueError(
+                f"exact method builds the spectrum: n <= {MAX_EXACT_N} "
+                "required")
         bad = set(self.outputs) - set(KNOWN_OUTPUTS)
         if bad:
             raise ValueError(f"unknown outputs: {sorted(bad)}")

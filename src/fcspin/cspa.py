@@ -55,10 +55,9 @@ _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _SERIES_Q = 1e-2
 # the two other axes of each axis, in the cyclic order of omega^2
 _OTHERS = ((1, 2), (2, 0), (0, 1))
-# step of the central difference of the node log-weights in a deformed
-# coupling, relative to min(v_x, |v_mu|/2): the curvature stencils of the
-# sweep leave ~1e-10 relative noise in a node weight, which a shorter step
-# amplifies past 1e-5 in alpha
+# central-difference step of the node log-weights in a deformed coupling,
+# times min(v_x, |v_mu|/2): the curvature stencils leave ~1e-10 relative
+# noise in a node weight, which a shorter step amplifies past 1e-5 in alpha
 _DEFORMED_STEP = 1e-3
 # quadrature policy: node counts are per axis, and the count doubles from
 # _MIN_NODES until ln Z moves by less than _REL_TOL (relative), failing past
@@ -561,7 +560,9 @@ def cspa_result(params: ModelParams, T: float) -> CspaResult:
 
     alpha_mu = T d(ln Z)/dv_mu / (n - 1) and sz = -T d(ln Z)/db / n come
     from kernels averaged over the nodes of the ln Z quadrature itself, one
-    quadrature for every input (see _kernels and _sweep).
+    quadrature for every input (see _kernels and _sweep).  With a deformed
+    axis, the other axes' alpha_mu leave out how its saddle curvature moves
+    with v_mu, and are a few percent off that derivative (see _kernels).
     """
     check_temperature(T, positive=True)
     check_pairs(params.n)

@@ -28,6 +28,7 @@ from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
                            sector_spins, sub_block_elements)
 
 __all__ = [
+    "MAX_EXACT_N",
     "SectorSpectrum",
     "Spectra",
     "Correlators",
@@ -46,6 +47,10 @@ __all__ = [
     "spectrum_low",
     "parity_transitions",
 ]
+
+# The largest n a Spectra is built for: construction grows like n^2 (about
+# 13 s at n = 4e4), and the spectrum holds (n/2 + 1)^2 levels.
+MAX_EXACT_N = 100_000
 
 # Levels within this multiple of v_x of the minimum energy, or n eps if that
 # is larger (see _ground_tolerance), form the T = 0 equal-weight ground
@@ -416,6 +421,9 @@ class Spectra:
     def __init__(self, params: ModelParams):
         self.params = params
         n = params.n
+        if n > MAX_EXACT_N:
+            raise ValueError(
+                f"exact spectrum capped at n <= {MAX_EXACT_N}, got n={n}")
         # the n + 1 sub-blocks (2S, first kept M index): both halves of each
         # sector, but 2S = 0 has no odd half
         self._sub_two_s = np.repeat(sector_spins(n), 2)[:n + 1]

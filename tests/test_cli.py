@@ -117,6 +117,26 @@ def test_temperature_sweep_below_zero_exits_2(tmp_path, capsys, by):
     assert "must be finite and nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("by", ["flags", "config"])
+def test_exact_method_past_its_size_cap_exits_2(tmp_path, capsys, by):
+    # the default method is exact; n = 10^23 once ended in an OverflowError
+    # traceback (exit 1), and n = 10^7 in a build of 2.5e13 levels
+    argv = ["--n", "99999999999999999999999", "--chi", "0.5"]
+    if by == "config":
+        cfg = tmp_path / "job.json"
+        cfg.write_text('{"n": 99999999999999999999999, "chi": 0.5}')
+        argv = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "n <= 100000 required" in capsys.readouterr().err
+
+
+def test_mfrpa_keeps_every_size(capsys):
+    assert main(["--n", "99999999999999999999999", "--chi", "0.5",
+                 "--method", "mfrpa_full"]) == 0
+
+
 def test_temperature_sweep_from_zero_flags_only_its_cold_row(capsys):
     # T = 0 is a valid temperature; ln Z needs 1/T, so only that cell fails
     assert main(["--n", "8", "--chi", "0.5", "--b", "0.3", "--method",

@@ -408,6 +408,16 @@ def test_level_concurrence_unknown_level():
         level_concurrence(sp, 3, 0, 1)  # no such sector for even n
 
 
+@pytest.mark.parametrize("n", [fcspin.exact.MAX_EXACT_N + 1, 10**23])
+def test_spectrum_past_the_size_cap_is_refused_before_any_build(n,
+                                                                monkeypatch):
+    # n = 10^23 once overflowed in sector_spins; past MAX_EXACT_N nothing
+    # is built, so the refusal is immediate
+    monkeypatch.setattr(fcspin.exact, "sector_spins", None)
+    with pytest.raises(ValueError, match="capped at n <= 100000"):
+        diagonalize(ModelParams.from_chi(n, 0.5, 0.5))
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
 def test_point_temperatures_must_be_finite_and_nonnegative(T):
     sp = diagonalize(ModelParams.from_chi(6, 0.3, 0.5))
