@@ -56,11 +56,6 @@ class ResultRow:
 # stay on the row
 
 
-def _pair_values(row: ResultRow, rep, n: int) -> None:
-    row.values.update({"C": rep.c, "nC": n * rep.c, "C_plus": rep.c_plus,
-                       "C_minus": rep.c_minus})
-
-
 def _pm_values(row: ResultRow, c_plus, c_minus, n: int) -> None:
     c = max([0.0] + [c for c in (c_plus, c_minus) if c is not None])
     row.values.update({"C": c, "nC": n * c, "C_plus": c_plus,
@@ -74,7 +69,8 @@ def _corr_values(row: ResultRow, corr) -> None:
 
 def _from_correlators(row: ResultRow, corr, n: int, need) -> None:
     if need & _CONC:
-        _pair_values(row, concurrence(pair_density(corr, n)), n)
+        rep = concurrence(pair_density(corr, n))
+        _pm_values(row, rep.c_plus, rep.c_minus, n)
     if need & _CORR:
         _corr_values(row, corr)
 
@@ -90,7 +86,8 @@ def _exact(params: ModelParams, T: float, need, row: ResultRow) -> None:
 def _oracle(params: ModelParams, T: float, need, row: ResultRow) -> None:
     # the dense reference solves once per output group, as its functions do
     if need & _CONC:
-        _pair_values(row, oracle_concurrence(params, T), params.n)
+        rep = oracle_concurrence(params, T)
+        _pm_values(row, rep.c_plus, rep.c_minus, params.n)
     if need & _CORR:
         _corr_values(row, oracle_observables(params, T))
     if "lnZ" in need:

@@ -977,27 +977,29 @@ def _signed_c_on_grid(spectra: Spectra, grid) -> np.ndarray:
     return np.column_stack(_signed_concurrences(pair_density(corr, n)))
 
 
-def limit_temperatures(params: ModelParams, *,
-                       t_max: float = 2.0) -> LimitTemperatures:
+def limit_temperatures(params: ModelParams) -> LimitTemperatures:
     """All temperature intervals where C_+ > 0 and where C_- > 0.
 
-    Tabulates C_pm at T = 0 (the ground manifold) and, in one batched pass
-    (``_signed_c_on_grid``), on a geometric grid of ``LIMIT_SCAN_POINTS``
-    temperatures in [1e-4, t_max] v_x.  Every interval end comes from one
-    sign-change scan of that table (``roots._sign_changes``): a node where
-    C_pm is exactly 0 is itself an end, and a bracket is polished by
-    ``brentq`` from its tabulated ends, evaluating only the temperatures
-    inside it: to 1e-5 v_x, but the bracket [0, 1e-4 v_x] below the grid,
-    whose root may lie far below 1e-5 v_x, to 1e-5 of that root.  On 40
-    seeded draws at n <= 60, ten of them just above the factorizing field,
-    the intervals match a 20 000-point scan (``tests/test_roots.py``).
+    Tabulates C_pm at T = 0 (the ground manifold) and, in one batched pass,
+    on ``LIMIT_SCAN_POINTS`` geometric nodes in [1e-4, 2] v_x, extended at
+    the grid's ratio by a doubling (28 nodes) while a branch is positive at
+    the top.  That ends: as T -> inf the pair density tends to 1/4 and C_pm
+    to -1/2.  Each interval end comes from one sign-change scan of the table
+    (``roots._sign_changes``): a zero node is itself an end, and a bracket
+    is polished by ``brentq`` from its tabulated ends to 1e-5 v_x, but the
+    bracket [0, 1e-4 v_x], whose root may lie far below 1e-5 v_x, to 1e-5 of
+    that root.  On 40 seeded draws at n <= 60, ten just above the factorizing
+    field, the intervals match a 20 000-point scan (``tests/test_roots.py``).
     """
     spectra = diagonalize(params)
     vx = params.v_x
-    t = np.concatenate(([0.0], np.geomspace(1e-4 * vx, t_max * vx,
+    t = np.concatenate(([0.0], np.geomspace(1e-4 * vx, 2.0 * vx,
                                             LIMIT_SCAN_POINTS)))
     vals = np.vstack((_signed_c_of_t(spectra, 0.0),
                       _signed_c_on_grid(spectra, t[1:])))
+    while (vals[-1] > 0).any():
+        t = np.append(t, t[-1] * (t[2] / t[1]) ** np.arange(1, 29))
+        vals = np.vstack((vals, _signed_c_on_grid(spectra, t[-28:])))
     table = dict(zip(t.tolist(), vals.tolist()))
 
     out = []
@@ -1014,8 +1016,6 @@ def limit_temperatures(params: ModelParams, *,
                    else {"xtol": _FLOAT.eps * 1e-5 * vx, "rtol": 1e-5})
             x = c.polish(brentq, _signed_c_between, args=args, **tol)
             edges += [x] * ((c.before > 0) + (c.after > 0))
-        if len(edges) % 2:
-            edges.append(float(t[-1]))
         out.append(tuple(zip(edges[::2], edges[1::2])))
     return LimitTemperatures(plus=out[0], minus=out[1])
 

@@ -237,8 +237,10 @@ def rpa_energy_determinant(r: tuple[float, float, float], params: ModelParams,
     <b|s_nu|a> (p_b - p_a)/(eps_a - eps_b - omega); omega solves
     det(I - K) = 0.  The determinant is evaluated with the pole at
     omega = lam cleared by the factor (lam^2 - omega^2), then scanned on
-    ``DETERMINANT_SCAN_POINTS`` frequencies in [1e-6 lam, 2 lam].  Returns
-    the first root of the scan (``roots._sign_changes``), or None.
+    ``DETERMINANT_SCAN_POINTS`` frequencies in [1e-6 lam, 2 lam top]: with
+    the f_mu of ``rpa_energy_general``, omega^2 <= lam^2 top^2 for top^2 =
+    max(1, max_mu (1 - f_mu')(1 - f_mu'')).  Returns the first root of the
+    scan (``roots._sign_changes``), or None.
     """
     lam_vec = np.array([r[0], r[1], r[2] - params.b])
     lam = float(np.linalg.norm(lam_vec))
@@ -265,7 +267,10 @@ def rpa_energy_determinant(r: tuple[float, float, float], params: ModelParams,
         d = np.linalg.det(np.eye(3) - k)
         return float(((lam * lam - w * w) * d).real)
 
-    grid = np.linspace(1e-6 * lam, 2.0 * lam, DETERMINANT_SCAN_POINTS)
+    f = [c * (math.tanh(0.5 * lam / T) if T > 0 else 1.0) / lam for c in v]
+    top = max((1 - f[i - 1]) * (1 - f[i - 2]) for i in range(3))
+    grid = np.linspace(1e-6 * lam, 2.0 * lam * max(1.0, top) ** 0.5,
+                       DETERMINANT_SCAN_POINTS)
     roots = _sign_changes(grid, [cleared_det(w) for w in grid])
     return roots[0].polish(brentq, cleared_det, xtol=1e-14 * lam,
                            rtol=8.9e-16) if roots else None

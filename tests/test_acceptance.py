@@ -245,7 +245,7 @@ def test_10_limit_temperature_log_scaling():
 def test_11_high_field_limit_temperature_grows():
     t_plus = []
     for b in (1.0, 2.0, 4.0):
-        lt = limit_temperatures(ModelParams.from_chi(100, b, 0.5), t_max=3.0)
+        lt = limit_temperatures(ModelParams.from_chi(100, b, 0.5))
         assert lt.t_plus is not None
         t_plus.append(lt.t_plus)
     assert t_plus[0] < t_plus[1] < t_plus[2]

@@ -468,6 +468,17 @@ def test_phase_map_columns_and_marks():
             assert row["T_c"] == 0.0
 
 
+def test_exact_phase_map_reads_limit_temperatures_above_2_vx():
+    # the exact scan's base grid ends at 2 v_x; T_L+ at b = 40 is 3.86 v_x
+    code, out, _ = run_cli("--n", "100", "--chi", "0.5", "--method", "exact",
+                           "--sweep", "phasemap", "--from", "10", "--to", "40",
+                           "--points", "4", "--format", "json")
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert last["b"] == 40.0
+    assert last["T_L_plus"] > 2.0
+
+
 def test_critical_temperature_ignores_anisotropy():
     out_a = run_cli("--n", "60", "--chi", "0.3", "--sweep", "phasemap",
                     "--from", "0.1", "--to", "0.9", "--points", "4",

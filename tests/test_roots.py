@@ -18,6 +18,7 @@ from fcspin import (
     limit_temperatures,
     parity_transitions,
     rpa_energy_determinant,
+    rpa_energy_general,
     separable_window,
     solve_mean_field,
     thermal_concurrence,
@@ -308,6 +309,47 @@ def test_limit_temperatures_match_a_dense_scan():
     assert windows >= 40
 
 
+@pytest.mark.parametrize("n, b, want", [
+    (100, 20.0, 2.07256), (100, 40.0, 3.86166), (800, 40.0, 3.21614)])
+def test_limit_temperatures_follow_a_branch_above_2_vx(n, b, want):
+    # at strong fields C_+ stays positive past the base grid's top, 2 v_x:
+    # the scan grows until it turns, and T_L+ lies in the bracket of a
+    # fine scan up to 8 v_x, to xtol
+    p = ModelParams.from_chi(n, b, 0.5)
+    xtol = 1e-5 * p.v_x
+    lt = limit_temperatures(p)
+    assert lt.minus == ()
+    (zero, hi), = lt.plus
+    assert zero == 0.0
+    assert abs(hi - want) <= xtol
+    fine = np.linspace(1.0, 8.0, 7001) * p.v_x
+    vals = fcspin.exact._signed_c_on_grid(fcspin.diagonalize(p), fine)
+    (_, _, hi_a, hi_b), = _positive_runs(fine, vals[:, 0])
+    assert hi_b < fine[-1]
+    assert hi_a - xtol <= hi <= hi_b + xtol
+
+
+def test_limit_temperatures_extend_the_scan_past_a_positive_top(monkeypatch):
+    # injected C_+ > 0 up to 5 v_x and C_- > 0 on (3, 4.5) v_x, both past
+    # the base grid's top: each interval ends at its polished crossing,
+    # not at a node of the grid
+    p = ModelParams.from_chi(4, 0.3, 0.5)
+
+    def signed(spectra, T):
+        return 5.0 - T, min(T - 3.0, 4.5 - T)
+
+    monkeypatch.setattr(fcspin.exact, "_signed_c_of_t", signed)
+    monkeypatch.setattr(fcspin.exact, "_signed_c_on_grid",
+                        lambda spectra, ts: np.array(
+                            [signed(spectra, t) for t in ts]))
+    lt = limit_temperatures(p)
+    (zero, hi), = lt.plus
+    assert zero == 0.0
+    assert abs(hi - 5.0) <= 1e-5
+    (lo, hi), = lt.minus
+    assert abs(lo - 3.0) <= 1e-5 and abs(hi - 4.5) <= 1e-5
+
+
 # the closed form b_s (n + 1 - 2k)/n, k = n/2 .. 1, with b_s = sqrt(chi)
 PARITY_N20 = [math.sqrt(0.5) * (21 - 2 * k) / 20 for k in range(10, 0, -1)]
 
@@ -391,6 +433,19 @@ def test_rpa_energy_determinant_golden(n, b, chi, T, r, want):
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("v_y, v_z", [(-1.0, -3.0), (-0.5, -2.0)])
+def test_rpa_energy_determinant_finds_a_mode_above_2_lam(v_y, v_z):
+    # (1 - f_y)(1 - f_z) > 4 puts omega above 2 lam
+    p = ModelParams(n=50, b=0.2, v_x=1.0, v_y=v_y, v_z=v_z)
+    T = 0.05
+    sol = solve_mean_field(p, T)
+    want = rpa_energy_general(sol.r, p, T).value
+    assert want > 2.0 * sol.gap
+    got = rpa_energy_determinant(sol.r, p, T)
+    assert got is not None
+    assert math.isclose(got, want, rel_tol=1e-12)
+
+
 def _old_positive_intervals(grid, values, f, tol, tol_from_zero):
     """The per-pair interval assembly the scan replaced, kept as reference;
     ``tol_from_zero`` holds brentq's tolerances on a bracket from T = 0,
@@ -418,7 +473,10 @@ def _old_positive_intervals(grid, values, f, tol, tol_from_zero):
 def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
     # C_pm(T) replaced by piecewise-linear curves through random node values
     # with exact and touching zeros, and -1 at T = 0; the intervals must
-    # equal the old pair-by-pair assembly over T = 0 and the grid, bitwise
+    # equal the old pair-by-pair assembly over T = 0 and the grid, bitwise.
+    # np.interp holds the top node's value above the grid, so that node is
+    # drawn non-positive and the scan ends there (the extension above the
+    # grid is tested on its own)
     p = ModelParams.from_chi(4, 0.0, 0.5)
     grid = np.geomspace(1e-4, 2.0, fcspin.exact.LIMIT_SCAN_POINTS)
     scan = np.concatenate(([0.0], grid))
@@ -426,6 +484,7 @@ def test_limit_temperature_intervals_match_pairwise_assembly(monkeypatch):
     for _ in range(20):
         signs = rng.choice([-1.0, 0.0, 1.0], size=(len(grid), 2),
                            p=[0.45, 0.1, 0.45])
+        signs[-1] = np.minimum(signs[-1], 0.0)
         nodes = signs * rng.uniform(0.5, 2.0, signs.shape)
 
         def signed(spectra, T, nodes=nodes):
