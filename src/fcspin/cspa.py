@@ -56,9 +56,10 @@ _SERIES_Q = 1e-2
 # the two other axes of each axis, in the cyclic order of omega^2
 _OTHERS = ((1, 2), (2, 0), (0, 1))
 # central-difference step of the node log-weights in a deformed coupling,
-# times min(v_x, |v_mu|/2): the curvature stencils leave ~1e-10 relative
-# noise in a node weight, which a shorter step amplifies past 1e-5 in alpha
-_DEFORMED_STEP = 1e-3
+# times min(v_x, |v_mu|/2), and of the deformed curvatures in z, times v_x:
+# a shorter step amplifies the saddle search's ~1e-10 in a node weight, a
+# longer one truncates the 1/v_mu terms of a small coupling
+_DEFORMED_STEP = 5e-4
 # quadrature policy: node counts are per axis, and the count doubles from
 # _MIN_NODES until ln Z moves by less than _REL_TOL (relative), failing past
 # _MAX_NODES.  The cutoff r_max = v_mu + _CUTOFF_SIGMAS sqrt(v_mu/(beta n))
@@ -155,6 +156,8 @@ def _lnsinhc_derivs(q):
     u = a / np.where(qs > 0.0, np.tanh(a), np.tan(a))
     h1 = (u - 1.0) / (2.0 * qs)
     h2 = (2.0 - u - (u * u - qs)) / (4.0 * qs * qs)
+    if not small.any():
+        return h1, h2
     h1s = 1 / 6 + q * (-1 / 90 + q * (1 / 945 + q * (-1 / 9450 + q / 93555)))
     h2s = -1 / 90 + q * (2 / 945 + q * (-1 / 3150 + q * 4 / 93555))
     return np.where(small, h1s, h1), np.where(small, h2s, h2)
@@ -170,6 +173,8 @@ def _tanhc_derivs(q):
     sech2 = 1.0 - th * th
     d1 = (sech2 - th / a) / (2.0 * qs)
     d2 = -(3.0 * d1 + sech2 * th / a) / (2.0 * qs)
+    if not small.any():
+        return d1, d2
     d1s = -1 / 3 + q * (4 / 15 + q * (-17 / 105 + q * (248 / 2835
                                                       - q * 6910 / 155925)))
     d2s = 4 / 15 + q * (-34 / 105 + q * (744 / 2835 - q * 27640 / 155925))
@@ -201,32 +206,37 @@ def _core_fields(lx2, ly2, lz2, couplings, n: int, beta: float):
     return static, phi_w, bad, margin, (lam2, w2, (fx, fy, fz), tl)
 
 
-def _field_slopes(idx: int, ls, aux, hw, params: ModelParams, beta: float):
+def _field_slopes(idx: int, ls, aux, hw, couplings, n: int, beta: float,
+                  second: bool = True):
     """dG/dL and d2G/dL2 at every node, for G = static - phi_w, L = ls[idx].
 
     L enters through lam^2 = sum(ls) (the 2cosh power, phi(lam^2) and
     f_mu = v_mu t(lam^2) with t = tanh(beta lam/2)/lam) and through its own
     term of omega^2 = sum_mu ls[mu] (1 - f_j)(1 - f_k).  ``hw`` is
-    _lnsinhc_derivs at beta^2 omega^2/4.
+    _lnsinhc_derivs at beta^2 omega^2/4.  Without ``second``, d2G/dL2 is
+    None and left uncomputed.
     """
     lam2, _, f, tl = aux
-    v = params.couplings
+    v = couplings
     bq = 0.25 * beta * beta
     q = bq * lam2
     tau1, tau2 = _tanhc_derivs(q)
     t1 = 0.5 * beta * bq * tau1
-    t2 = 0.5 * beta * bq * bq * tau2
-    # d/dt of each (1 - f_j)(1 - f_k), and omega^2's t-derivatives
-    dc = [-(v[j] * (1.0 - f[k]) + v[k] * (1.0 - f[j])) for j, k in _OTHERS]
+    # d/dt of each (1 - f_j)(1 - f_k), and omega^2's t-derivative
+    g = [1.0 - fm for fm in f]
+    dc = [-(v[j] * g[k] + v[k] * g[j]) for j, k in _OTHERS]
     w_t = sum(l * d for l, d in zip(ls, dc))
-    w_tt = 2.0 * sum(ls[mu] * v[j] * v[k] for mu, (j, k) in enumerate(_OTHERS))
     j, k = _OTHERS[idx]
-    w_l = (1.0 - f[j]) * (1.0 - f[k]) + w_t * t1
-    w_ll = 2.0 * dc[idx] * t1 + w_tt * t1 * t1 + w_t * t2
+    w_l = g[j] * g[k] + w_t * t1
     hs1, hs2 = _lnsinhc_derivs(q)
     hw1, hw2 = hw
-    g_l = 0.25 * beta * params.n * tl + bq * (hs1 - hw1 * w_l)
-    g_ll = (0.25 * beta * params.n * t1 + bq * bq * (hs2 - hw2 * w_l * w_l)
+    g_l = 0.25 * beta * n * tl + bq * (hs1 - hw1 * w_l)
+    if not second:
+        return g_l, None
+    t2 = 0.5 * beta * bq * bq * tau2
+    w_tt = 2.0 * sum(ls[mu] * v[j] * v[k] for mu, (j, k) in enumerate(_OTHERS))
+    w_ll = 2.0 * dc[idx] * t1 + w_tt * t1 * t1 + w_t * t2
+    g_ll = (0.25 * beta * n * t1 + bq * bq * (hs2 - hw2 * w_l * w_l)
             - bq * hw1 * w_ll)
     return g_l, g_ll
 
@@ -336,7 +346,8 @@ def _kernels(params: ModelParams, T: float, ls, aux, z):
             r2 = z * z if idx == 2 else ls[idx]
             out[idx] = 0.5 * n * r2 / (v * v) - T / v + rdw
         elif v == 0.0:
-            g_l, g_ll = _field_slopes(idx, ls, aux, hw, params, beta)
+            g_l, g_ll = _field_slopes(idx, ls, aux, hw, params.couplings, n,
+                                         beta)
             # g_rr + g_r^2 at r = 0, with L = r^2 (x, y) or (r - b)^2 (z)
             curv = 2.0 * g_l + 4.0 * ls[idx] * (g_ll + g_l * g_l)
             out[idx] = rdw + 2.0 * T * T * curv / n
@@ -378,12 +389,15 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
     A deformed variable is fixed, at every node of the integrated axes, at
     the real stationary point of its log-weight P along the real axis: y at
     0 by symmetry, z by a golden-section search over all nodes at once.
-    Its Gaussian cross-section contributes -ln(P'')/2, P'' from a
-    three-point stencil; mixed curvature terms vanish because the
-    stationary y is 0.  The integrated axes' nodes do not depend on a
-    deformed coupling v_d, so its kernel T (g(v_d + h) - g(v_d - h)) / h -
-    T/v_d differences the node log-weights g at the same nodes; -T/v_d is
-    the v_d-derivative of the constant terms, in kernel units.
+    Its Gaussian cross-section contributes -ln(P'')/2, with P_yy =
+    2(c/|v_y| + G_y) and P_zz = 2c/|v_z| + 2 G_z + 4 (z - b)^2 G_zz from the
+    slopes of G = static - phi_w in y^2 and (z - b)^2 (_field_slopes); mixed
+    curvature terms vanish because the stationary y is 0.  These terms
+    depend on z and b through z - b alone, so sz takes their rate in b from
+    one central difference in z.  The integrated axes' nodes do not depend
+    on a deformed coupling v_d, so its kernel T (g(v_d + h) - g(v_d - h)) /
+    h - T/v_d differences the node log-weights g at the same nodes; -T/v_d
+    is the v_d-derivative of the constant terms, in kernel units.
     """
     beta = 1.0 / T
     n, b = params.n, params.b
@@ -404,79 +418,53 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
     lnw_xy = np.log(wx)[:, None] + np.log(wy)[None, :]
     y_def, z_def = 1 in spa, 2 in spa
 
-    def node(v, z, lnw, want_sz=False):
-        # log-weights of slab z at couplings v, which may leave the
-        # ModelParams domain, with the saddle z and the kernels' node data;
-        # want_sz adds the sz kernel's terms from the -ln(P'')/2 stencils
-        def p_real(ly2q, zq):
-            # log-weight along the real axis of the deformed variables, +inf
-            # past the pole; its minimum is the contour crossing
-            g = c * ly2q / abs(v[1]) if y_def else 0.0
-            if z_def:
-                g = g + c * zq * zq / abs(v[2])
-            static, phi_w, bad, _, _ = _core_fields(lx2, ly2q, (zq - b) ** 2,
-                                                    v, n, beta)
-            return np.where(bad, np.inf, g + static - phi_w)
+    def p_real(v, zq):
+        # log-weight along the real axis of a deformed z, +inf past the
+        # pole; its minimum is the contour crossing
+        static, phi_w, bad, _, _ = _core_fields(lx2, ly2, (zq - b) ** 2, v,
+                                                n, beta)
+        return np.where(bad, np.inf, c * zq * zq / abs(v[2]) + static - phi_w)
 
+    def curvatures(v, ls, aux):
+        # ln(P_yy P_zz) over the deformed axes at the nodes, and P_zz (1 off
+        # a deformed z), from the slopes of G = static - phi_w
+        hw = _lnsinhc_derivs(0.25 * beta * beta * aux[1])
+        p_yy = p_zz = 1.0
+        if y_def:
+            g_l = _field_slopes(1, ls, aux, hw, v, n, beta, second=False)[0]
+            p_yy = 2.0 * (c / abs(v[1]) + g_l)
+        if z_def:
+            g_l, g_ll = _field_slopes(2, ls, aux, hw, v, n, beta)
+            p_zz = 2.0 * c / abs(v[2]) + 2.0 * g_l + 4.0 * ls[2] * g_ll
+        if not (np.all(p_yy > 0.0) and np.all(p_zz > 0.0)):
+            raise NumericalError("nonpositive curvature on a deformed axis")
+        return np.log(p_yy * p_zz), p_zz
+
+    def node(v, z, lnw):
+        # log-weights of slab z at couplings v, which may leave the ModelParams
+        # domain, with the saddle z, the kernels' node data and P_zz
         if z_def:
             zlim = abs(v[2]) + sig * math.sqrt(abs(v[2]) / (beta * n))
-            z = minimize_scalar(lambda zq: p_real(ly2, zq), -zlim, zlim,
+            z = minimize_scalar(lambda zq: p_real(v, zq), -zlim, zlim,
                                 1e-10 * max(abs(v[2]), v[0]), g_quad.shape)
         ls = (lx2, ly2, (z - b) ** 2)
         static, phi_w, bad, mrg, aux = _core_fields(*ls, v, n, beta)
         if bad.any():
             raise _breakdown(mrg)
-        if z_def:
-            g_z = c * z * z / abs(v[2])
-        else:
-            g_z = -c * z * z / v[2] if 2 in quad else 0.0
+        g_z = -c * z * z / v[2] if v[2] != 0.0 else 0.0
         gw = static + g_quad + g_z + lnw - phi_w
+        p_zz = None
         if spa:
-            p0 = (g_z if z_def else 0.0) + static - phi_w
-        if y_def:
-            hy = 1e-3 * math.sqrt(2.0 * abs(v[1]) / (beta * n))
-            hyy = 2.0 * (p_real(hy * hy, z) - p0) / (hy * hy)
-            if not np.all(hyy > 0.0):
-                raise NumericalError(
-                    "nonpositive curvature on the deformed y axis")
-            gw = gw - 0.5 * np.log(hyy)
-        if z_def:
-            hz = 1e-3 * math.sqrt(2.0 * abs(v[2]) / (beta * n))
-            pz = [p_real(ly2, z + s) for s in (hz, -hz)]
-            hzz = (pz[0] - 2.0 * p0 + pz[1]) / (hz * hz)
-            if not np.all(hzz > 0.0):
-                raise NumericalError(
-                    "nonpositive curvature on the deformed z axis")
-            gw = gw - 0.5 * np.log(hzz)
-        dsz = 0.0
-        if want_sz and z_def:
-            # with u = z - b, b moves the stencils only through the
-            # stationary u, by (2c/v_z)/P_zz per unit b: this is -T/n
-            # d/db of -ln(P_zz P_yy)/2, from P_zzz and dP_yy/dz
-            rate = (p_real(ly2, z + 2.0 * hz) - 2.0 * pz[0] + 2.0 * pz[1]
-                    - p_real(ly2, z - 2.0 * hz)) / (2.0 * hz ** 3 * hzz)
-            if y_def:
-                pyy = [(p_real(hy * hy, z + s) - p) / (hy * hy)
-                       for s, p in zip((hz, -hz), pz)]
-                rate = rate + (pyy[0] - pyy[1]) / (hz * hyy)
-            dsz = rate / (4.0 * v[2] * hzz)
-        elif want_sz and y_def and v[2] == 0.0:
-            # no z field: P_yy depends on b through (z - b)^2 = b^2
-            slope = []
-            for pt in ((lx2, hy * hy, ls[2]), ls):
-                a = _core_fields(*pt, v, n, beta)[4]
-                hw = _lnsinhc_derivs(0.25 * beta * beta * a[1])
-                slope.append(_field_slopes(2, pt, a, hw, params, beta)[0])
-            dsz = 2.0 * T * b * (slope[0] - slope[1]) / (n * hy * hy * hyy)
-        return gw, z, ls, aux, mrg, dsz
+            lnp, p_zz = curvatures(v, ls, aux)
+            gw = gw - 0.5 * lnp
+        return gw, z, ls, aux, mrg, p_zz
 
     slabs = []
     kernel_names = []
     margin = _TWO_PI
     for iz, z in enumerate(zs):
         lnw = lnw_xy + math.log(wz[iz])
-        gw, z_node, ls, aux, mrg, dsz = node(params.couplings, z, lnw,
-                                             want_obs)
+        gw, z_node, ls, aux, mrg, p_zz = node(params.couplings, z, lnw)
         margin = min(margin, mrg)
         smax = float(np.max(gw))
         if smax == -math.inf:
@@ -492,8 +480,18 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
                 g = [node(v[:d] + [v[d] + s] + v[d + 1:], z, lnw)[0]
                      for s in (h, -h)]
                 kern[d] = T * (g[0] - g[1]) / h - T / v[d]
-            if spa:
-                kern["sz"] = kern["sz"] + dsz
+            if z_def or (y_def and vz == 0.0):
+                # -T/n d/db of -ln(P_yy P_zz)/2, a function of z - b, whose
+                # saddle value has d/db = -(2c/|v_z|)/P_zz (-1 at v_z = 0)
+                h = _DEFORMED_STEP * vx
+                lnp = []
+                for s in (h, -h):
+                    lq = (lx2, ly2, (z_node + s - b) ** 2)
+                    aq = _core_fields(*lq, params.couplings, n, beta)[4]
+                    lnp.append(curvatures(params.couplings, lq, aq)[0])
+                du = -2.0 * c / abs(vz) / p_zz if z_def else -1.0
+                kern["sz"] = (kern["sz"]
+                              + T * du * (lnp[0] - lnp[1]) / (4.0 * n * h))
             kernel_names = list(kern)
             for name, arr in kern.items():
                 k_s[name] = float(np.sum(e * np.where(e > 0.0, arr, 0.0)))

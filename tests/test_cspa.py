@@ -295,9 +295,9 @@ def test_deformed_alpha_at_the_domain_edge():
     (7, 0.0, -0.3, 1.1),
 ])
 def test_deformed_alpha_inside_the_domain(n, b, v_y, T):
-    # the deformed-axis ln Z carries ~1e-10 relative noise in v_y, so the
-    # reference is a central difference with a step well above it: 3e-3 of
-    # min(v_x, |v_y|/2).  rel 5e-5
+    # reference: a central difference of ln Z in v_y with step 3e-3 of
+    # min(v_x, |v_y|/2), whose truncation stays well under the tolerance.
+    # rel 5e-5
     p = ModelParams(n=n, b=b, v_x=1.0, v_y=v_y, v_z=0.0)
     h = 3e-3 * min(p.v_x, 0.5 * abs(v_y))
     up, down = (cspa_log_partition(p.replace(v_y=v_y + s), T)
@@ -344,13 +344,70 @@ def test_deformed_z_alpha_inside_the_domain(p, T):
 
 @pytest.mark.parametrize("p, T", DEFORMED, ids=DEFORMED_IDS)
 def test_spin_average_is_the_field_derivative_on_a_deformed_axis(p, T):
-    # sz = -T dlnZ/db / n also where the -ln(P'')/2 stencils move with b;
-    # step and tolerance as in test_deformed_alpha_inside_the_domain, with
-    # b in place of |v_mu|: 3e-3 of min(v_x, b/2), rel 5e-5
+    # sz = -T dlnZ/db / n also where the -ln(P'')/2 curvature terms move
+    # with b; step and tolerance as in test_deformed_alpha_inside_the_domain,
+    # with b in place of |v_mu|: 3e-3 of min(v_x, b/2), rel 5e-5
     h = 3e-3 * min(p.v_x, 0.5 * p.b)
     up, down = (cspa_log_partition(p.with_field(p.b + s), T) for s in (h, -h))
     want = -T * (up - down) / (2.0 * h) / p.n
     assert math.isclose(cspa_result(p, T).corr.sz, want, rel_tol=5e-5)
+
+
+# two inputs whose ln Z once jittered by ~2e-10 between node counts, past the
+# doubling tolerance (1e-10), so the quadrature failed at 768 nodes per
+# axis; want is ln Z from the analytic curvatures
+JITTERED = [
+    (ModelParams(n=5, b=0.36363891218317623, v_x=1.0,
+                 v_y=-0.26705536726046397, v_z=-0.22732107643014876),
+     1.3615219434124648, 3.5402886619748037),
+    (ModelParams(n=4, b=0.08000487224653248, v_x=1.0,
+                 v_y=-0.23726400107921364, v_z=-0.007241200149922621),
+     1.6253052659250817, 2.793758368784396),
+]
+
+
+@pytest.mark.parametrize("p, T, want", JITTERED, ids=["n5", "n4"])
+def test_deformed_quadrature_converges(p, T, want):
+    # both entry points converge, on the same ln Z; rel 1e-9 as in
+    # test_vectorized_saddle_matches_scalar_sweep
+    got = cspa_log_partition(p, T)
+    res = cspa_result(p, T)
+    assert res.ln_z == got
+    assert math.isclose(got, want, rel_tol=1e-9)
+    assert res.nodes_per_axis <= 96
+
+
+def test_deformed_quadrature_converges_on_seeded_draws():
+    # every draw has a deformed z and about half a deformed y: each result
+    # converges by 96 nodes per axis
+    rng = np.random.default_rng(0)
+    nodes = []
+    for _ in range(40):
+        p = ModelParams(n=int(rng.integers(4, 10)), b=rng.uniform(0.0, 1.2),
+                        v_x=1.0, v_y=rng.uniform(-1.0, 0.9),
+                        v_z=rng.uniform(-0.9, 0.0))
+        res = cspa_result(p, rng.uniform(0.8, 2.0))
+        nodes.append(res.nodes_per_axis)
+    assert max(nodes) <= 96, nodes
+
+
+@pytest.mark.parametrize("p, T", [
+    (ModelParams(n=8, b=0.7688716303325693, v_x=1.0,
+                 v_y=-0.014244700234776198, v_z=-0.878814952567329),
+     1.868859521054467),
+    (ModelParams(n=7, b=0.8069408257478874, v_x=1.0,
+                 v_y=-0.017131703567490386, v_z=-0.42701865408307127),
+     1.1922072864614),
+])
+def test_small_deformed_coupling_alpha(p, T):
+    # |v_y| below 0.02 beside a deformed z, where alpha_y is about 1e-4:
+    # reference a central difference of ln Z with step 1e-2 |v_y| (a step of
+    # 5e-3 |v_y| agrees to about 1e-4).  rel 2e-2
+    h = 1e-2 * abs(p.v_y)
+    up, down = (cspa_log_partition(p.replace(v_y=p.v_y + s), T)
+                for s in (h, -h))
+    want = T * (up - down) / (2.0 * h) / (p.n - 1)
+    assert math.isclose(cspa_result(p, T).corr.alpha_y, want, rel_tol=2e-2)
 
 
 # ln Z of the per-node scalar saddle sweep (scipy bounded minimization at
@@ -373,7 +430,7 @@ SCALAR_SWEEP_LN_Z = [
 def test_vectorized_saddle_matches_scalar_sweep(p, T, want):
     # rel 1e-9: the stationary z is located to ~1e-8 by either search (the
     # log-weight is flat there to double precision), which moves the
-    # stencil curvature and ln Z by well under that
+    # curvature terms and ln Z by well under that
     assert math.isclose(cspa_log_partition(p, T), want, rel_tol=1e-9)
 
 
