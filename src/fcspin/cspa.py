@@ -57,8 +57,8 @@ _SERIES_Q = 1e-2
 _OTHERS = ((1, 2), (2, 0), (0, 1))
 # central-difference step of the node log-weights in a deformed coupling,
 # times min(v_x, |v_mu|/2), and of the deformed curvatures in z, times v_x:
-# a shorter step amplifies the saddle search's ~1e-10 in a node weight, a
-# longer one truncates the 1/v_mu terms of a small coupling
+# a shorter step amplifies the rounding of a node weight, a longer one
+# truncates the 1/v_mu terms of a small coupling
 _DEFORMED_STEP = 5e-4
 # quadrature policy: node counts are per axis, and the count doubles from
 # _MIN_NODES until ln Z moves by less than _REL_TOL (relative), failing past
@@ -388,8 +388,9 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
 
     A deformed variable is fixed, at every node of the integrated axes, at
     the real stationary point of its log-weight P along the real axis: y at
-    0 by symmetry, z by a golden-section search over all nodes at once.
-    Its Gaussian cross-section contributes -ln(P'')/2, with P_yy =
+    0 by symmetry, z by a golden-section search over all nodes at once
+    and one Newton step on P_z = 2cz/|v_z| + 2 (z - b) G_z.  Its Gaussian
+    cross-section contributes -ln(P'')/2, with P_yy =
     2(c/|v_y| + G_y) and P_zz = 2c/|v_z| + 2 G_z + 4 (z - b)^2 G_zz from the
     slopes of G = static - phi_w in y^2 and (z - b)^2 (_field_slopes); mixed
     curvature terms vanish because the stationary y is 0.  These terms
@@ -447,6 +448,14 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
             zlim = abs(v[2]) + sig * math.sqrt(abs(v[2]) / (beta * n))
             z = minimize_scalar(lambda zq: p_real(v, zq), -zlim, zlim,
                                 1e-10 * max(abs(v[2]), v[0]), g_quad.shape)
+            # the search finds z to about sqrt(eps) of its scale only, and
+            # -ln(P'')/2 is not stationary there: one Newton step on P_z
+            ls = (lx2, ly2, (z - b) ** 2)
+            aux = _core_fields(*ls, v, n, beta)[4]
+            g_l, g_ll = _field_slopes(2, ls, aux, _lnsinhc_derivs(
+                0.25 * beta * beta * aux[1]), v, n, beta)
+            z = z - ((2.0 * c * z / abs(v[2]) + 2.0 * (z - b) * g_l)
+                     / (2.0 * c / abs(v[2]) + 2.0 * g_l + 4.0 * ls[2] * g_ll))
         ls = (lx2, ly2, (z - b) ** 2)
         static, phi_w, bad, mrg, aux = _core_fields(*ls, v, n, beta)
         if bad.any():

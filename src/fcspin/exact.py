@@ -24,8 +24,9 @@ import numpy as np
 from .errors import InvalidStateError
 from .params import ModelParams, check_pairs, check_temperature
 from .roots import _sign_changes, brentq
-from .spin_algebra import (off_diagonal_scale, sector_multiplicities,
-                           sector_spins, sub_block_elements)
+from .spin_algebra import (coupling_diagonal, ladder2, off_diagonal_scale,
+                           sector_multiplicities, sector_spins,
+                           sub_block_elements)
 
 __all__ = [
     "MAX_EXACT_N",
@@ -48,8 +49,8 @@ __all__ = [
     "parity_transitions",
 ]
 
-# The largest n a Spectra is built for: construction grows like n^2 (about
-# 13 s at n = 4e4), and the spectrum holds (n/2 + 1)^2 levels.
+# The largest n a Spectra is built for: the spectrum holds (n/2 + 1)^2
+# levels, and its exact multiplicities take 1.4 s and 460 MB at n = 1e5.
 MAX_EXACT_N = 100_000
 
 # Levels within this multiple of v_x of the minimum energy, or n eps if that
@@ -120,8 +121,8 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, lowest=None):
     without its per-call checks and workspace query: ``dstemr`` range 'I',
     the off-diagonal padded to length N as ``?STEMR`` requires, and
     LAPACK's minimum workspace for eigenvectors, lwork = 18 N and liwork =
-    10 N.  The input must be finite (``Spectra`` checks its elements once,
-    when it builds them); a nonzero ``info`` raises
+    10 N.  The input must be finite (``Spectra`` checks it once, through
+    its sub-block bounds); a nonzero ``info`` raises
     ``np.linalg.LinAlgError``.  Both routines come from SciPy's compiled
     LAPACK module, loaded on the first call (``_load_flapack``), so
     ``import fcspin`` loads no SciPy module and no solve loads
@@ -327,27 +328,39 @@ def _sturm_count(diag, e2, x: float) -> int:
     return count
 
 
-def _lowest_level_bounds(diag: np.ndarray, off: np.ndarray,
-                         start: np.ndarray):
+def _lowest_level_bounds(params: ModelParams, two_s, first, dims):
     """Gershgorin lower bound on the lowest level of each parity sub-block.
 
-    Widened by the solver's backward error (dim * eps * norm), so that it
-    also bounds the computed lowest level; returns the bounds and that
-    widening.  The sub-blocks are laid end to end (``start`` holds their
-    offsets), ``off`` is 0 at the last level of each, and the arrays are
-    reduced segment by segment.
+    In closed form, for the sub-blocks (2S, first) of ``dims`` levels: diag
+    - |off| exactly on the two end rows, and on the rows between from
+    ladder2(M) <= S(S+1) - (M+1)^2 (AM-GM on its factors (S + 1/2)^2 - x^2
+    and (S + 1/2)^2 - (x + 1)^2, x = M + 1/2), a quadratic in M least at
+    their ends or at its vertex clipped to them.  Widened by the solver's
+    backward error dim eps 3 ||H||, as no row sum exceeds 3 ||H|| <= 3 (|b|
+    n/2 + n (|v_x| + |v_y| + |v_z|)/4); returns the bounds and that
+    widening.  It holds the elements' largest terms (their M = 0 and end
+    rows), so a bound that is not finite raises ``ValueError``, and the
+    solver, which checks nothing, never sees an inf or NaN.
     """
-    # |off| to the next level of the same sub-block, plus |off| to the
-    # previous one
-    radius = np.abs(off)
-    radius[1:] += radius[:-1]
-    norm = np.abs(diag)
-    norm += radius
-    norm = np.maximum.reduceat(norm, start[:-1])
-    low = np.minimum.reduceat(np.subtract(diag, radius, out=radius),
-                              start[:-1])
-    slack = np.diff(start) * np.finfo(float).eps * norm
-    return low - slack, slack
+    n, b = params.n, params.b
+    scale, s = abs(off_diagonal_scale(params)), two_s / 2.0
+    ends = (first - s, first - s + 2.0 * (dims - 1))  # M of the end rows
+    low = np.minimum(*(b * m - coupling_diagonal(params, two_s, m) - scale
+                       * (ladder2(two_s, m) + ladder2(two_s, m - 2.0))
+                       for m in ends))
+    # between: diag - |off| >= b M + coef M^2 - X(0) - 2 scale (S(S+1) - 1)
+    coef, rows = (params.v_x - params.v_z) / n, [ends[0] + 2.0, ends[1] - 2.0]
+    if coef > 0:
+        rows.append(np.clip(-0.5 * b / coef, *rows))
+    inner = (np.min([(b + coef * m) * m for m in rows], axis=0)
+             - coupling_diagonal(params, two_s, 0.0)
+             - 2.0 * scale * (s * (s + 1.0) - 1.0))
+    norm = 0.5 * abs(b) * n + 0.25 * n * sum(map(abs, params.couplings))
+    slack = dims * _FLOAT.eps * 3.0 * norm
+    low = np.where(dims > 2, np.minimum(low, inner), low) - slack
+    if not np.isfinite(low).all():
+        raise ValueError("sub-block elements must not contain infs or NaNs")
+    return low, slack
 
 
 def _ground_tolerance(params: ModelParams) -> float:
@@ -394,11 +407,11 @@ class Spectra:
     """Parity-resolved spectrum of a parameter set, solved on demand.
 
     Construction computes a lower bound on the lowest level of every
-    (S, parity) sub-block, from its elements built a chunk at a time; it
+    (S, parity) sub-block in closed form (``_lowest_level_bounds``); it
     solves none and keeps only per-sub-block data (and the elements, if
-    they fit one chunk).  A thermal evaluation at T solves only what can
-    hold a level inside the Boltzmann window (see ``BOLTZMANN_CUT``),
-    rebuilding those sub-blocks' elements, and keeps their levels and
+    they fit one build chunk).  A thermal evaluation at T solves only what
+    can hold a level inside the Boltzmann window (see ``BOLTZMANN_CUT``),
+    building those sub-blocks' elements, and keeps their levels and
     moments, in one store, for later temperatures: small
     sub-blocks whole, by divide and conquer (``dstevd``), large ones in two
     stages (``_solve_stage``).  The first solves the lowest
@@ -436,29 +449,21 @@ class Spectra:
         log_y = np.array([math.log(y) for y in self._multiplicity])
         self._sub_log_mult = log_y[(n - self._sub_two_s) // 2]  # by sector
         self._off_scale = off_diagonal_scale(params)
-        bounds, finite = [], True
-        for blocks, diag, plus2 in self._build(np.arange(n + 1)):
-            start = np.append(0, np.cumsum(self._dims[blocks]))
-            bounds.append(_lowest_level_bounds(diag, self._off_scale * plus2,
-                                               start))
-            # plus2 >= 0, so every off-diagonal is finite if the largest is
-            finite &= bool(np.isfinite(diag).all()
-                           and np.isfinite(self._off_scale * plus2.max()))
-        # a spectrum that fits one build chunk keeps its elements, at most
-        # 2 x _BUILD_CHUNK floats (n <= 360); a larger one rebuilds those of
-        # the sub-blocks each round solves
-        self._kept = (diag, plus2) if len(bounds) == 1 else None
-        # the solver checks nothing, so the elements are checked here, once
-        if not finite:
-            raise ValueError("sub-block elements must not contain infs or "
-                             "NaNs")
         # lower bound on each sub-block's lowest unsolved level: the
-        # Gershgorin bound, then the solved prefix's last level less the
-        # same widening, then +inf once the sub-block is complete
-        self._low, self._slack = map(np.concatenate, zip(*bounds))
+        # closed-form Gershgorin bound, then the solved prefix's last level
+        # less the same widening, then +inf once the sub-block is complete
+        self._low, self._slack = _lowest_level_bounds(
+            params, self._sub_two_s, self._sub_first, self._dims)
+        levels = int(self._dims.sum())
+        # a spectrum that fits one build chunk (n <= 360) keeps its elements,
+        # at most 2 x _BUILD_CHUNK floats: slicing them beats rebuilding them
+        # for its many small rounds.  A larger one builds those of the
+        # sub-blocks each round solves
+        self._kept = (next(self._build(np.arange(n + 1)))[1:]
+                      if levels <= _BUILD_CHUNK else None)
         self._ground = np.full(n + 1, np.inf)  # lowest level, once solved
         self._open = n + 1  # sub-blocks not yet complete
-        self._cut = BOLTZMANN_CUT + math.log(int(self._dims.sum()))
+        self._cut = BOLTZMANN_CUT + math.log(levels)
         # the solved levels, by sub-block and ascending within each (a
         # sub-block's solved levels are its lowest): rows energy, m2x, m2y,
         # m2z, m1z and ln Y

@@ -342,6 +342,18 @@ def test_deformed_z_alpha_inside_the_domain(p, T):
         assert math.isclose(got, want, rel_tol=5e-5), axis
 
 
+def test_deformed_z_alpha_does_not_depend_on_the_node_count(monkeypatch):
+    # the saddle z is polished by a Newton step after the golden-section
+    # search, whose sqrt(eps) error the kernel's difference divides by its
+    # step: alpha_z spread 1.8e-5 relative over these node counts without it
+    p = ModelParams(n=6, b=0.5, v_x=1.0, v_y=-1.0, v_z=-0.4)
+    got = []
+    for m in (24, 48, 96, 192, 384):
+        monkeypatch.setattr(fcspin.cspa, "_MIN_NODES", m)
+        got.append(cspa_result(p, 1.0).corr.alpha_z)
+    assert max(got) - min(got) <= 1e-9 * abs(got[0]), got
+
+
 @pytest.mark.parametrize("p, T", DEFORMED, ids=DEFORMED_IDS)
 def test_spin_average_is_the_field_derivative_on_a_deformed_axis(p, T):
     # sz = -T dlnZ/db / n also where the -ln(P'')/2 curvature terms move

@@ -418,6 +418,48 @@ def test_spectrum_past_the_size_cap_is_refused_before_any_build(n,
         diagonalize(ModelParams.from_chi(n, 0.5, 0.5))
 
 
+def _spy_builds(monkeypatch) -> list:
+    """Record the (2S, first) sub-blocks of every sub_block_elements call."""
+    calls = []
+
+    def spy(params, two_s, first):
+        calls.append(list(zip(two_s.tolist(), first.tolist())))
+        return sub_block_elements(params, two_s, first)
+
+    monkeypatch.setattr(fcspin.exact, "sub_block_elements", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, builds", [(2, 1), (359, 1), (360, 1), (361, 0),
+                                       (400, 0), (8000, 0)])
+def test_construction_builds_no_element_past_one_chunk(n, builds,
+                                                       monkeypatch):
+    # the bounds come in closed form; only a spectrum whose elements fit
+    # one build chunk (n <= 360) builds them, once, to keep
+    calls = _spy_builds(monkeypatch)
+    sp = Spectra(ModelParams.from_chi(n, 0.5, 0.5))
+    assert len(calls) == builds
+    assert (sp._kept is not None) == bool(builds)
+
+
+def test_first_thermal_evaluation_builds_only_what_it_advances(monkeypatch):
+    calls = _spy_builds(monkeypatch)
+    advanced = []
+    advance = Spectra._advance
+
+    def spy(sp, blocks):
+        advanced.extend((int(sp._sub_two_s[j]), int(sp._sub_first[j]))
+                        for j in np.asarray(blocks).tolist())
+        return advance(sp, blocks)
+
+    monkeypatch.setattr(Spectra, "_advance", spy)
+    sp = Spectra(ModelParams.from_chi(400, 0.5, 0.5))
+    assert not calls
+    thermal_observables(sp, 0.1)
+    assert 0 < len(advanced) < len(sp._dims)
+    assert [blk for call in calls for blk in call] == advanced
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
 def test_point_temperatures_must_be_finite_and_nonnegative(T):
     sp = diagonalize(ModelParams.from_chi(6, 0.3, 0.5))
@@ -566,7 +608,8 @@ def test_window_solves_few_sectors_when_cold():
 
 
 def _block_bound(diag, off) -> float:
-    """Per-block statement of the Gershgorin bound the spectra vectorize."""
+    """Row-wise Gershgorin bound of a built block, widened by dim eps norm:
+    the reference for the closed-form bounds of ``Spectra``."""
     radius = np.zeros(len(diag))
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
@@ -596,16 +639,33 @@ def test_level_bound_is_below_the_lowest_level():
                 assert bounds[j] <= solved and bounds[j] <= lowest
 
 
-def test_level_bounds_equal_the_per_block_formula():
-    # the segmented reductions reproduce the per-block formula bitwise
+def _assert_bounds_near(p, sp, want) -> None:
+    """The closed-form bounds of ``sp`` against the row-wise ones ``want``.
+
+    Never above them, and below them by at most the closed form's loss:
+    (v_x - v_y)/12 from AM-GM on ladder2 and (v_x - v_z)/n from the clipped
+    vertex, plus the wider backward-error slack (with one more for rounding).
+    """
+    want = np.asarray(want)
+    loss = (p.v_x - p.v_y) / 12 + max(p.v_x - p.v_z, 0.0) / p.n
+    assert (sp._low <= want).all(), p
+    assert (sp._low >= want - loss - 2.0 * sp._slack).all(), p
+
+
+def test_level_bounds_lie_just_below_the_per_block_formula():
     rng = np.random.default_rng(61)
     draws = [ModelParams(n=n, b=0.0, v_x=1.0, v_y=-0.7, v_z=-0.4)
              for n in (1, 2, 3, 10)]
+    # v_z > v_x (a concave quadratic: no vertex), v_y = +-v_x (no
+    # off-diagonal, or the largest), b = 0 and the smallest n
+    draws += [ModelParams(n=n, b=b, v_x=1.0, v_y=v_y, v_z=v_z)
+              for n in (1, 2, 3, 57) for v_y in (-1.0, 1.0)
+              for b, v_z in ((0.0, 1.7), (0.6, 2.5), (0.0, -0.5))]
     draws += [draw_params(rng, int(n)) for n in rng.integers(1, 301, 12)]
     draws += [d.with_field(0.0) for d in draws[-4:]]
     for p in draws:
-        want = [_block_bound(*sub) for sub in _sub_blocks(p)]
-        assert Spectra(p)._low.tolist() == want, p
+        _assert_bounds_near(p, Spectra(p),
+                            [_block_bound(*sub) for sub in _sub_blocks(p)])
 
 
 def _per_sector_reference(p: ModelParams) -> dict:
@@ -663,7 +723,7 @@ def test_flat_build_matches_the_per_sector_build(p, chunk, monkeypatch):
         monkeypatch.setattr(fcspin.exact, "_BUILD_CHUNK", chunk)
     want = _per_sector_reference(p)
     sp = Spectra(p)
-    assert sp._low.tobytes() == want["_low"].tobytes()  # bounds, pre-solve
+    _assert_bounds_near(p, sp, want["_low"])  # bounds, pre-solve
     flat = flat_levels(sp)
     for k, a in want.items():
         if k != "_low":
