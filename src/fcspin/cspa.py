@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BreakdownError, NumericalError
-from .exact import ConcurrenceReport, Correlators, concurrence, pair_density
+from .exact import (ConcurrenceReport, Correlators, _read_only, concurrence,
+                    pair_density)
 from .params import ModelParams, check_pairs, check_temperature
 
 __all__ = [
@@ -115,9 +116,9 @@ def _phi_mode(s, beta: float):
 
     Returns (phi, bad, margin): ``bad`` marks points at or past the validity
     boundary beta sqrt(-s) >= 2 pi (phi set to +inf there; callers must
-    raise BreakdownError when any sampled point is bad), ``margin`` the
-    minimum of 2 pi - beta sqrt(-s) over imaginary-mode points, bad ones
-    included (2 pi when there are none).
+    raise BreakdownError when any sampled point is bad), ``margin`` is
+    2 pi - beta sqrt(-s) at imaginary-mode points, bad ones included, and
+    2 pi elsewhere.
     """
     s = np.asarray(s, dtype=float)
     tiny = beta * beta * np.abs(s) < 1e-6
@@ -137,8 +138,7 @@ def _phi_mode(s, beta: float):
                    np.where(pos, v_pos, v_neg))
     out = np.where(bad, np.inf, out)
 
-    margin = float(np.min(np.where(neg, _TWO_PI - 2.0 * arg, _TWO_PI)))
-    return out, bad, margin
+    return out, bad, np.where(neg, _TWO_PI - 2.0 * arg, _TWO_PI)
 
 
 def _lnsinhc_derivs(q):
@@ -156,11 +156,12 @@ def _lnsinhc_derivs(q):
     u = a / np.where(qs > 0.0, np.tanh(a), np.tan(a))
     h1 = (u - 1.0) / (2.0 * qs)
     h2 = (2.0 - u - (u * u - qs)) / (4.0 * qs * qs)
-    if not small.any():
-        return h1, h2
-    h1s = 1 / 6 + q * (-1 / 90 + q * (1 / 945 + q * (-1 / 9450 + q / 93555)))
-    h2s = -1 / 90 + q * (2 / 945 + q * (-1 / 3150 + q * 4 / 93555))
-    return np.where(small, h1s, h1), np.where(small, h2s, h2)
+    if small.any():
+        q = q[small]
+        h1[small] = 1 / 6 + q * (-1 / 90 + q * (1 / 945 + q * (-1 / 9450
+                                                             + q / 93555)))
+        h2[small] = -1 / 90 + q * (2 / 945 + q * (-1 / 3150 + q * 4 / 93555))
+    return h1, h2
 
 
 def _tanhc_derivs(q):
@@ -173,12 +174,13 @@ def _tanhc_derivs(q):
     sech2 = 1.0 - th * th
     d1 = (sech2 - th / a) / (2.0 * qs)
     d2 = -(3.0 * d1 + sech2 * th / a) / (2.0 * qs)
-    if not small.any():
-        return d1, d2
-    d1s = -1 / 3 + q * (4 / 15 + q * (-17 / 105 + q * (248 / 2835
-                                                      - q * 6910 / 155925)))
-    d2s = 4 / 15 + q * (-34 / 105 + q * (744 / 2835 - q * 27640 / 155925))
-    return np.where(small, d1s, d1), np.where(small, d2s, d2)
+    if small.any():
+        q = q[small]
+        d1[small] = -1 / 3 + q * (4 / 15 + q * (-17 / 105 + q * (
+            248 / 2835 - q * 6910 / 155925)))
+        d2[small] = 4 / 15 + q * (-34 / 105 + q * (744 / 2835
+                                                   - q * 27640 / 155925))
+    return d1, d2
 
 
 def _core_fields(lx2, ly2, lz2, couplings, n: int, beta: float):
@@ -254,7 +256,7 @@ def _split_axes(params: ModelParams):
 
 @lru_cache(maxsize=16)
 def _gl(m: int):
-    return leggauss(m)
+    return tuple(_read_only(a) for a in leggauss(m))
 
 
 def _axis_nodes(v: float, m: int, beta: float, n: int, sigmas: float,
@@ -280,38 +282,46 @@ def _const_terms(params: ModelParams, beta: float, quad, spa) -> float:
     return out
 
 
-class _SweepOut:
-    __slots__ = ("ln_integral", "averages", "margin", "nodes")
-
-    def __init__(self, ln_integral, averages, margin, nodes):
-        self.ln_integral = ln_integral
-        self.averages = averages
-        self.margin = margin
-        self.nodes = nodes
-
-
-def _breakdown(margin: float) -> BreakdownError:
-    return BreakdownError(
-        "|omega|/T >= 2 pi at a sampled static point (validity margin "
-        f"{margin:.3g}): the quantum correction factor has a pole inside "
-        "the integration region, T is below the breakdown temperature T*")
+def _check(bad, margin, ok):
+    """BreakdownError if a node is ``bad`` (past the validity boundary, with
+    margins ``margin``), NumericalError if one is not ``ok`` (curvature)."""
+    if np.any(bad):
+        raise BreakdownError(
+            "|omega|/T >= 2 pi at a sampled static point (validity margin "
+            f"{float(np.min(margin)):.3g}): the quantum correction factor has "
+            "a pole inside the integration region, T is below the breakdown "
+            "temperature T*")
+    if not np.all(ok):
+        raise NumericalError("nonpositive curvature on a deformed axis")
 
 
-def _combine(slabs, kernel_names, margin, m):
+def _part(x, cut):
+    """x with every array in it (tuples walked) cut to the nodes ``cut``."""
+    if isinstance(x, tuple):
+        return tuple(_part(a, cut) for a in x)
+    return x[cut] if np.ndim(x) else x
+
+
+def _combine(slabs, margin, m):
+    """(ln integral, margin, m, averages) of one rule from its slabs (smax,
+    exp-sum, kernel sums or a callable that evaluates them on kept nodes)."""
     if not slabs:
         raise NumericalError("empty quadrature")
     shift = max(s[0] for s in slabs)
     if not math.isfinite(shift):
         raise NumericalError("integrand vanished on every node")
     total = 0.0
-    sums = {k: 0.0 for k in kernel_names}
-    for smax, i_s, k_s in slabs:
-        scale = math.exp(smax - shift)
-        total += i_s * scale
-        for k in kernel_names:
-            sums[k] += k_s[k] * scale
-    averages = {k: sums[k] / total for k in kernel_names}
-    return _SweepOut(shift + math.log(total), averages, margin, m)
+    for smax, i_s, _ in slabs:
+        total += i_s * math.exp(smax - shift)
+
+    def averages():
+        sums = {}
+        for smax, _, k_s in slabs:
+            for k, s in (k_s() if callable(k_s) else k_s).items():
+                sums[k] = sums.get(k, 0.0) + s * math.exp(smax - shift)
+        return {k: s / total for k, s in sums.items()}
+
+    return shift + math.log(total), margin, m, averages
 
 
 def _kernels(params: ModelParams, T: float, ls, aux, z):
@@ -382,9 +392,14 @@ def minimize_scalar(f, lo: float, hi: float, xatol: float, shape):
     return 0.5 * (a + b)
 
 
-def _sweep(params: ModelParams, T: float, m: int, quad, spa,
-           want_obs: bool) -> _SweepOut:
-    """The quadrature at m nodes per integrated axis, one z slab at a time.
+def _sweep(params: ModelParams, T: float, ms, quad, spa, want_obs: bool):
+    """The quadratures at m nodes per integrated axis for each m in ms.
+
+    Yields one _combine tuple per rule, in the order of ms.  Without an
+    integrated z all rules share the one slab z = 0 and one node call; each
+    rule reduces and checks its own nodes, as its own sweep would.  Kernels
+    run on the kept node data of the returned rule only, or slab by slab
+    with an integrated z (m slabs of node data would take m^3 memory).
 
     A deformed variable is fixed, at every node of the integrated axes, at
     the real stationary point of its log-weight P along the real axis: y at
@@ -406,20 +421,20 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
     c = 0.25 * beta * n
     sig = _CUTOFF_SIGMAS
     one = (np.array([0.0]), np.array([1.0]))
-
-    xs, wx = _axis_nodes(vx, m, beta, n, sig, False)
-    ys, wy = _axis_nodes(vy, m, beta, n, sig, False) if 1 in quad else one
-    zs, wz = _axis_nodes(vz, m, beta, n, sig, True) if 2 in quad else one
-
-    lx2 = (xs * xs)[:, None]
-    ly2 = (ys * ys)[None, :]
-    g_quad = -c * (xs * xs / vx)[:, None]
-    if 1 in quad:
-        g_quad = g_quad + (-c * (ys * ys / vy))[None, :]
-    lnw_xy = np.log(wx)[:, None] + np.log(wy)[None, :]
     y_def, z_def = 1 in spa, 2 in spa
 
-    def p_real(v, zq):
+    def rule(m):
+        # x^2, y^2, well and ln weight of the x, y nodes, x outermost, in 1-D
+        xs, wx = _axis_nodes(vx, m, beta, n, sig, False)
+        ys, wy = _axis_nodes(vy, m, beta, n, sig, False) if 1 in quad else one
+        k = len(ys)
+        g_quad = np.repeat(-c * (xs * xs / vx), k)
+        if 1 in quad:
+            g_quad = g_quad + np.tile(-c * (ys * ys / vy), m)
+        return (np.repeat(xs * xs, k), np.tile(ys * ys, m), g_quad,
+                np.repeat(np.log(wx), k) + np.tile(np.log(wy), m))
+
+    def p_real(v, zq, lx2, ly2):
         # log-weight along the real axis of a deformed z, +inf past the
         # pole; its minimum is the contour crossing
         static, phi_w, bad, _, _ = _core_fields(lx2, ly2, (zq - b) ** 2, v,
@@ -427,8 +442,8 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
         return np.where(bad, np.inf, c * zq * zq / abs(v[2]) + static - phi_w)
 
     def curvatures(v, ls, aux):
-        # ln(P_yy P_zz) over the deformed axes at the nodes, and P_zz (1 off
-        # a deformed z), from the slopes of G = static - phi_w
+        # ln(P_yy P_zz) over the deformed axes (0 where not ok, both > 0),
+        # P_zz (1 off a deformed z) and ok
         hw = _lnsinhc_derivs(0.25 * beta * beta * aux[1])
         p_yy = p_zz = 1.0
         if y_def:
@@ -437,17 +452,18 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
         if z_def:
             g_l, g_ll = _field_slopes(2, ls, aux, hw, v, n, beta)
             p_zz = 2.0 * c / abs(v[2]) + 2.0 * g_l + 4.0 * ls[2] * g_ll
-        if not (np.all(p_yy > 0.0) and np.all(p_zz > 0.0)):
-            raise NumericalError("nonpositive curvature on a deformed axis")
-        return np.log(p_yy * p_zz), p_zz
+        ok = (p_yy > 0.0) & (p_zz > 0.0)
+        return np.log(np.where(ok, p_yy * p_zz, 1.0)), p_zz, ok
 
-    def node(v, z, lnw):
-        # log-weights of slab z at couplings v, which may leave the ModelParams
-        # domain, with the saddle z, the kernels' node data and P_zz
+    def node(v, z, xy):
+        # log-weights of nodes xy in slab z at couplings v (maybe off the
+        # ModelParams domain), the saddle z, kernel data, P_zz and faults
+        lx2, ly2, g_quad, lnw = xy
         if z_def:
             zlim = abs(v[2]) + sig * math.sqrt(abs(v[2]) / (beta * n))
-            z = minimize_scalar(lambda zq: p_real(v, zq), -zlim, zlim,
-                                1e-10 * max(abs(v[2]), v[0]), g_quad.shape)
+            z = minimize_scalar(lambda zq: p_real(v, zq, lx2, ly2), -zlim,
+                                zlim, 1e-10 * max(abs(v[2]), v[0]),
+                                g_quad.shape)
             # the search finds z to about sqrt(eps) of its scale only, and
             # -ln(P'')/2 is not stationary there: one Newton step on P_z
             ls = (lx2, ly2, (z - b) ** 2)
@@ -458,70 +474,80 @@ def _sweep(params: ModelParams, T: float, m: int, quad, spa,
                      / (2.0 * c / abs(v[2]) + 2.0 * g_l + 4.0 * ls[2] * g_ll))
         ls = (lx2, ly2, (z - b) ** 2)
         static, phi_w, bad, mrg, aux = _core_fields(*ls, v, n, beta)
-        if bad.any():
-            raise _breakdown(mrg)
         g_z = -c * z * z / v[2] if v[2] != 0.0 else 0.0
         gw = static + g_quad + g_z + lnw - phi_w
-        p_zz = None
+        p_zz, ok = None, True
         if spa:
-            lnp, p_zz = curvatures(v, ls, aux)
+            lnp, p_zz, ok = curvatures(v, ls, aux)
             gw = gw - 0.5 * lnp
-        return gw, z, ls, aux, mrg, p_zz
+        return xy, gw, z, ls, aux, p_zz, (bad, mrg, ok)
 
-    slabs = []
-    kernel_names = []
-    margin = _TWO_PI
-    for iz, z in enumerate(zs):
-        lnw = lnw_xy + math.log(wz[iz])
-        gw, z_node, ls, aux, mrg, p_zz = node(params.couplings, z, lnw)
-        margin = min(margin, mrg)
-        smax = float(np.max(gw))
-        if smax == -math.inf:
-            continue
-        e = np.exp(gw - smax)
-        i_s = float(np.sum(e))
-        k_s = {}
-        if want_obs:
-            kern = _kernels(params, T, ls, aux, z_node)
-            for d in spa:
-                v = list(params.couplings)
-                h = _DEFORMED_STEP * min(vx, 0.5 * abs(v[d]))
-                g = [node(v[:d] + [v[d] + s] + v[d + 1:], z, lnw)[0]
-                     for s in (h, -h)]
-                kern[d] = T * (g[0] - g[1]) / h - T / v[d]
-            if z_def or (y_def and vz == 0.0):
-                # -T/n d/db of -ln(P_yy P_zz)/2, a function of z - b, whose
-                # saddle value has d/db = -(2c/|v_z|)/P_zz (-1 at v_z = 0)
-                h = _DEFORMED_STEP * vx
-                lnp = []
-                for s in (h, -h):
-                    lq = (lx2, ly2, (z_node + s - b) ** 2)
-                    aq = _core_fields(*lq, params.couplings, n, beta)[4]
-                    lnp.append(curvatures(params.couplings, lq, aq)[0])
-                du = -2.0 * c / abs(vz) / p_zz if z_def else -1.0
-                kern["sz"] = (kern["sz"]
-                              + T * du * (lnp[0] - lnp[1]) / (4.0 * n * h))
-            kernel_names = list(kern)
-            for name, arr in kern.items():
-                k_s[name] = float(np.sum(e * np.where(e > 0.0, arr, 0.0)))
-        slabs.append((smax, i_s, k_s))
-    return _combine(slabs, kernel_names, margin, m)
+    def kernels(z, xy, z_node, ls, aux, p_zz, e):
+        # the kernels of one slab's nodes, summed with weights e
+        kern = _kernels(params, T, ls, aux, z_node)
+        for d in spa:
+            v = list(params.couplings)
+            h = _DEFORMED_STEP * min(vx, 0.5 * abs(v[d]))
+            g = [node(v[:d] + [v[d] + s] + v[d + 1:], z, xy) for s in (h, -h)]
+            for out in g:
+                _check(*out[-1])
+            kern[d] = T * (g[0][1] - g[1][1]) / h - T / v[d]
+        if z_def or (y_def and vz == 0.0):
+            # -T/n d/db of -ln(P_yy P_zz)/2, a function of z - b, whose
+            # saddle value has d/db = -(2c/|v_z|)/P_zz (-1 at v_z = 0)
+            h = _DEFORMED_STEP * vx
+            lnp = []
+            for s in (h, -h):
+                lq = (ls[0], ls[1], (z_node + s - b) ** 2)
+                lnp.append(curvatures(params.couplings, lq, _core_fields(
+                    *lq, params.couplings, n, beta)[4]))
+                _check(False, None, lnp[-1][2])
+            du = -2.0 * c / abs(vz) / p_zz if z_def else -1.0
+            kern["sz"] = (kern["sz"] + T * du * (lnp[0][0] - lnp[1][0])
+                          / (4.0 * n * h))
+        return {name: float(np.sum(e * np.where(e > 0.0, arr, 0.0)))
+                for name, arr in kern.items()}
+
+    for group in [(m,) for m in ms] if 2 in quad else [ms]:
+        xy = tuple(map(np.concatenate, zip(*map(rule, group))))
+        ends = np.cumsum([0] + [m * (m if 1 in quad else 1) for m in group])
+        zs, wz = (_axis_nodes(vz, group[0], beta, n, sig, True) if 2 in quad
+                  else one)
+        slabs, margins = [[] for _ in group], [_TWO_PI] * len(group)
+        for iz, z in enumerate(zs):
+            out = node(params.couplings, z,
+                       xy[:3] + (xy[3] + math.log(wz[iz]),))
+            for j, m in enumerate(group):
+                xyj, gw, z_node, ls, aux, p_zz, faults = _part(
+                    out, slice(ends[j], ends[j + 1]))
+                _check(*faults)
+                margins[j] = min(margins[j], float(np.min(faults[1])))
+                smax = float(np.max(gw))
+                if smax != -math.inf:
+                    e = np.exp(gw - smax)
+                    k_s = partial(kernels, z, xyj, z_node, ls, aux, p_zz, e)
+                    k_s = (k_s() if 2 in quad else k_s) if want_obs else {}
+                    slabs[j].append((smax, float(np.sum(e)), k_s))
+                if iz == len(zs) - 1:
+                    yield _combine(slabs[j], margins[j], m)
 
 
-def _integrate(params: ModelParams, T: float, quad, spa,
-               want_obs: bool) -> _SweepOut:
-    m = _MIN_NODES
-    prev = None
+def _integrate(params: ModelParams, T: float, quad, spa, want_obs: bool):
+    """The first rule (m = _MIN_NODES, doubling) whose ln of the integral is
+    within _REL_TOL of the one before; the first two share one _sweep."""
+    m, prev = _MIN_NODES, None
+    ms = (m, 2 * m) if m < _MAX_NODES else (m,)
     while True:
-        cur = _sweep(params, T, m, quad, spa, want_obs)
-        if prev is not None and (abs(cur.ln_integral - prev.ln_integral)
-                                 <= _REL_TOL * max(1.0, abs(cur.ln_integral))):
-            return cur
-        if m >= _MAX_NODES:
-            raise NumericalError(
-                f"static-path quadrature not converged at {m} nodes per axis")
-        prev = cur
-        m *= 2
+        for cur in _sweep(params, T, ms, quad, spa, want_obs):
+            ln, _, m, _ = cur
+            if prev is not None and (abs(ln - prev)
+                                     <= _REL_TOL * max(1.0, abs(ln))):
+                return cur
+            if m >= _MAX_NODES:
+                raise NumericalError("static-path quadrature not converged "
+                                     f"at {m} nodes per axis")
+            prev = ln
+        ms = (2 * m,)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +584,8 @@ def cspa_log_partition(params: ModelParams, T: float) -> float:
     """
     check_temperature(T, positive=True)
     quad, spa = _split_axes(params)
-    out = _integrate(params, T, quad, spa, want_obs=False)
-    return out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
+    ln = _integrate(params, T, quad, spa, want_obs=False)[0]
+    return ln + _const_terms(params, 1.0 / T, quad, spa)
 
 
 def cspa_result(params: ModelParams, T: float) -> CspaResult:
@@ -574,13 +600,14 @@ def cspa_result(params: ModelParams, T: float) -> CspaResult:
     check_temperature(T, positive=True)
     check_pairs(params.n)
     quad, spa = _split_axes(params)
-    out = _integrate(params, T, quad, spa, want_obs=True)
-    ln_z = out.ln_integral + _const_terms(params, 1.0 / T, quad, spa)
+    ln, margin, nodes, averages = _integrate(params, T, quad, spa, True)
+    ln_z = ln + _const_terms(params, 1.0 / T, quad, spa)
+    avg = averages()
     inv = 1.0 / (2.0 * (params.n - 1))
-    alphas = [inv * (out.averages[idx] - 0.5) for idx in range(3)]
+    alphas = [inv * (avg[idx] - 0.5) for idx in range(3)]
     corr = Correlators(alpha_x=alphas[0], alpha_y=alphas[1],
-                       alpha_z=alphas[2], sz=out.averages["sz"])
-    return CspaResult(ln_z, corr, out.margin, out.nodes)
+                       alpha_z=alphas[2], sz=avg["sz"])
+    return CspaResult(ln_z, corr, margin, nodes)
 
 
 def cspa_observables(params: ModelParams, T: float) -> Correlators:

@@ -10,6 +10,7 @@ import pytest
 import fcspin.cspa
 from fcspin import (
     BreakdownError,
+    NumericalError,
     ModelParams,
     cspa_concurrence,
     cspa_log_integrand,
@@ -453,3 +454,195 @@ def test_golden_search_meets_its_tolerance():
     got = fcspin.cspa.minimize_scalar(lambda x: np.abs(x - centers), -1.3,
                                       1.3, xatol, centers.shape)
     assert np.max(np.abs(got - centers)) <= xatol
+
+
+# ---------------------------------------------------------------------------
+# node rules: the first two share one sweep, the kernels run once
+
+
+def _libm_fingerprint() -> str:
+    # the transcendental ufuncs of the node function on fixed arguments
+    x = np.linspace(0.01, 3.0, 301)
+    return repr(float(sum(np.sum(f(x)) for f in (
+        np.exp, np.log, np.log1p, np.expm1, np.tanh, np.tan, np.sin))))
+
+
+# the fingerprint of the platform the goldens below were recorded on
+# (x86-64 with AVX-512, NumPy 2.4); where it differs, libm rounds some
+# node values differently and the goldens hold to rel 1e-8 only
+GOLDEN_LIBM = "4166.177438477822"
+BREAKDOWN_12 = ("|omega|/T >= 2 pi at a sampled static point (validity "
+                "margin -12): the quantum correction factor has a pole inside "
+                "the integration region, T is below the breakdown "
+                "temperature T*")
+# repr of the outputs of the sweep that ran one node rule per call: ln Z of
+# cspa_log_partition, then cspa_result's ln Z, alpha_x, alpha_y, alpha_z, sz
+# and validity margin, and its nodes per axis; or the error both raise
+GOLDEN = [
+    # deformed y at v_z = 0, the second with b < 0.2 T (Taylor branches)
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.0), 0.5,
+     "6.569789494381606",
+     ("6.569789494381606", "0.06389572726888847", "-0.0111691822965611",
+      "0.0341750246883913", "-0.17861563803096303", "6.283185307179586"),
+     48),
+    (ModelParams(n=7, b=0.05, v_x=1.0, v_y=-0.3, v_z=0.0), 1.1,
+     "4.912497394764716",
+     ("4.912497394764716", "0.0229998805601912", "-0.004017017412370223",
+      "0.001022945778394485", "-0.011249291432468436", "6.283185307179586"),
+     48),
+    # deformed z, then both axes deformed
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=0.0, v_z=-0.4), 1.0,
+     "4.387328936857641",
+     ("4.387328936857641", "0.028333845303840668", "0.0010679312477786752",
+      "0.004719684416760195", "-0.10377848219686193", "6.283185307179586"),
+     48),
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=-0.4, v_z=-0.3), 1.0,
+     "4.396852261008389",
+     ("4.396852261008389", "0.028139599795335615", "-0.006942067678876446",
+      "0.007259365056408229", "-0.10798295228179595", "6.283185307179586"),
+     48),
+    # v_y > 0, v_z < 0: a saddle search on the x, y grid
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=0.2, v_z=-0.8), 0.5,
+     "6.383935634154675",
+     ("6.383935634154675", "0.06877276869589372", "0.009782408560860767",
+      "-0.0007891807617157226", "-0.10718772039708616", "6.283185307179586"),
+     48),
+    # positive x, y grid at v_z = 0 (margin below 2 pi)
+    (ModelParams.from_chi(20, 0.5, 0.5), 0.3,
+     "22.123704636867252",
+     ("22.123704636867252", "0.1149852948715132", "0.007723282419319641",
+      "0.07126406858049257", "-0.26622737689950576", "5.46098347221734"),
+     48),
+    # integrated z (the slab loop), positive and beside a deformed y; both
+    # need 96 nodes, so the pair fails and the doubling goes on
+    (ModelParams(n=6, b=0.5, v_x=1.0, v_y=0.3, v_z=0.2), 1.2,
+     "4.346280119072834",
+     ("4.346280119072834", "0.02265164782969714", "0.00602126135998391",
+      "0.015938942311080208", "-0.1082412167229638", "6.283185307179586"),
+     96),
+    (ModelParams(n=8, b=0.4, v_x=1.0, v_y=-0.6, v_z=0.3), 0.5,
+     "6.767205271517464",
+     ("6.767205271517464", "0.06047634312181631", "-0.012332520165981178",
+      "0.05995012627888509", "-0.22334945450043467", "6.283185307179586"),
+     96),
+    (P100, 0.3,
+     "108.59385416538733",
+     ("108.59385416538733", "0.1372527910885326", "0.0013266923286074726",
+      "0.06441432972927717", "-0.2536913415899234", "5.460909346900442"),
+     96),
+    # failures keep their type and message
+    (P100, 0.02, BreakdownError, BREAKDOWN_12, None),
+    (ModelParams(n=8, b=0.1, v_x=1.0, v_y=-0.6, v_z=0.0), 0.05,
+     BreakdownError, BREAKDOWN_12.replace("-12", "-5.85"), None),
+    (ModelParams(n=7, b=1.403386338076548, v_x=1.0, v_y=-0.12423791737699963,
+                 v_z=0.20494485800163242), 0.08564716473570183,
+     NumericalError, "nonpositive curvature on a deformed axis", None),
+]
+GOLDEN_IDS = ["y", "y-small-b", "z", "yz", "y-grid-z", "xy", "xyz", "y-xz",
+              "n100", "breakdown", "breakdown-y", "curvature"]
+
+
+@pytest.mark.parametrize("p, T, ln_z, result, nodes", GOLDEN, ids=GOLDEN_IDS)
+def test_outputs_equal_the_recorded_ones(p, T, ln_z, result, nodes):
+    if isinstance(ln_z, type):
+        for f in (cspa_log_partition, cspa_result):
+            with pytest.raises(ln_z) as info:
+                f(p, T)
+            assert str(info.value) == result
+        return
+    if _libm_fingerprint() == GOLDEN_LIBM:
+        def same(got, want):
+            return repr(got) == want
+    else:
+        def same(got, want):
+            return math.isclose(got, float(want), rel_tol=1e-8,
+                                abs_tol=1e-12)
+    assert same(cspa_log_partition(p, T), ln_z)
+    res = cspa_result(p, T)
+    got = (res.ln_z, res.corr.alpha_x, res.corr.alpha_y, res.corr.alpha_z,
+           res.corr.sz, res.validity_margin)
+    assert all(same(g, w) for g, w in zip(got, result)), got
+    assert res.nodes_per_axis == nodes
+
+
+@pytest.mark.parametrize("p, T", [g[:2] for g in GOLDEN[:9]],
+                         ids=GOLDEN_IDS[:9])
+def test_paired_rules_equal_their_own_sweeps(p, T):
+    # on any platform: the 24- and 48-node rules of one sweep give what each
+    # gives alone, bitwise, kernel averages included
+    quad, spa = fcspin.cspa._split_axes(p)
+    paired = list(fcspin.cspa._sweep(p, T, (24, 48), quad, spa, True))
+    for m, got in zip((24, 48), paired):
+        alone = next(fcspin.cspa._sweep(p, T, (m,), quad, spa, True))
+        assert got[:3] == alone[:3]
+        assert got[3]() == alone[3]()
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    f = getattr(fcspin.cspa, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(fcspin.cspa, name, counted)
+    return calls
+
+
+def test_deformed_z_grid_makes_one_saddle_search(monkeypatch):
+    # the deformed-z input of the CI smoke step stops at 48 nodes: its 24-
+    # and 48-node rules share one search (one each before they shared a
+    # sweep), and the kernels add the two at v_z +- h on the 48-node rule
+    p = ModelParams(n=8, b=0.4, v_x=1.0, v_y=0.2, v_z=-0.8)
+    searches = count_calls(monkeypatch, "minimize_scalar")
+    cspa_log_partition(p, 0.5)
+    assert len(searches) == 1
+    res = cspa_result(p, 0.5)
+    assert res.nodes_per_axis == 48 and len(searches) == 1 + 3
+
+
+@pytest.mark.parametrize("p, T, nodes", [(P100, 0.3, 96),
+                                         (DEFORMED[2][0], DEFORMED[2][1], 48)],
+                         ids=["n100", "yz"])
+def test_kernels_run_on_the_returned_rule_only(monkeypatch, p, T, nodes):
+    kernels = count_calls(monkeypatch, "_kernels")
+    assert cspa_result(p, T).nodes_per_axis == nodes
+    assert len(kernels) == 1
+    cspa_log_partition(p, T)
+    assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("p, T, cap, at", [
+    (P100, 0.3, 24, 24), (P100, 0.3, 30, 48), (P100, 0.3, 48, 48),
+    (DEFORMED[1][0], 0.5, 24, 24),
+], ids=["24", "30", "48", "y-grid-z"])
+def test_node_cap_below_the_converged_count(monkeypatch, p, T, cap, at):
+    # the same error as when each rule had a sweep of its own: P100 at
+    # T = 0.3 converges at 96 nodes, the deformed-z grid at 48
+    monkeypatch.setattr(fcspin.cspa, "_MAX_NODES", cap)
+    for f in (cspa_log_partition, cspa_result):
+        with pytest.raises(NumericalError) as info:
+            f(p, T)
+        assert str(info.value) == ("static-path quadrature not converged at "
+                                   f"{at} nodes per axis")
+
+
+def test_gauss_legendre_cache_is_read_only():
+    # every quadrature at m nodes shares the cached arrays
+    for a in fcspin.cspa._gl(24):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("derivs, q", [
+    (fcspin.cspa._lnsinhc_derivs, [-3.0, -5e-3, 0.0, 2e-3, 0.5, 9e-3, 40.0]),
+    (fcspin.cspa._tanhc_derivs, [0.0, 1e-4, 0.02, 9.9e-3, 3.0, 5e-3]),
+])
+def test_taylor_branches_are_per_node(derivs, q):
+    # the series run on the small entries only, with the arithmetic each
+    # entry gets on its own
+    both = derivs(np.array(q))
+    for i, qi in enumerate(q):
+        alone = derivs(np.array([qi]))
+        assert both[0][i] == alone[0][0] and both[1][i] == alone[1][0]
